@@ -9,8 +9,9 @@ Subcommands:
     mult        evaluate a word expression in the Hecke algebra
     verify      run verification suites and report pass/fail
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output
-goes to stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+``verify`` selection with no checks in it).  All output goes to stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -145,6 +146,12 @@ def _cmd_mult(args) -> int:
 def _cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suite(suites, max_rank=args.max_rank)
+    if not reports:
+        print(
+            f"error: --suite {args.suite} --max-rank {args.max_rank} selects no checks",
+            file=sys.stderr,
+        )
+        return 2
     failed = [r for r in reports if not r.passed]
     if args.json:
         _emit_json([r.to_json() for r in reports])

@@ -24,7 +24,6 @@ __all__ = [
     "GoodInvolution",
     "SeparatedSet",
     "enumerate_good",
-    "good_involutions_filter",
     "stat_a",
     "stat_d",
     "stat_c",
@@ -153,18 +152,6 @@ def enumerate_good(k: int) -> list[GoodInvolution]:
         for pairing in _involutions_of(moved):
             window = [i if i in fixed else -pairing[i] for i in points]
             out.append(GoodInvolution(SignedPermutation(window, check=False)))
-    out.sort(key=lambda g: g.perm)
-    return out
-
-
-def good_involutions_filter(k: int) -> list[GoodInvolution]:
-    """Oracle: G_k by exhaustive filtering of all 2^k k! elements of B_k."""
-    from .signedperm import all_elements
-
-    out = []
-    for w in all_elements(k):
-        if all(v == i or v < 0 for i, v in enumerate(w, start=1)) and w.is_involution():
-            out.append(GoodInvolution(w))
     out.sort(key=lambda g: g.perm)
     return out
 

@@ -8,7 +8,10 @@ every T_{s_i} carries q, and the defining relation is
 Products are computed by expanding the right factor basis element by basis
 element along a reduced word and folding single-generator multiplications
 into the left factor, so no multiplication tables are ever materialized.
-Inverses of basis elements are never formed; coefficients stay polynomial.
+Left multiplication by a generator goes through the anti-automorphism
+iota: T_w -> T_{w^-1}, as T_g h = iota(iota(h) T_g), so the right fold is the
+only multiplication kernel.  Inverses of basis elements are never formed;
+coefficients stay polynomial.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import BivarPoly, ONE, _iadd_raw, _isub_raw, _mul_raw
-from .signedperm import (
-    SignedPermutation,
-    identity,
-    make_w_nk,
-    parabolic_generators,
-)
+from .signedperm import SignedPermutation, identity, make_w_nk
 
 __all__ = [
     "HeckeElement",
@@ -241,29 +239,13 @@ def mult_simple_right(h: HeckeElement, g: int) -> HeckeElement:
 
 
 def mult_simple_left(g: int, h: HeckeElement) -> HeckeElement:
-    """T_g * h, mirroring mult_simple_right with left lengths."""
-    if not 0 <= g < h.rank:
-        raise ValueError(f"generator index {g} invalid for rank {h.rank}")
-    param = BivarPoly.monomial(1, 1, 0) if g == 0 else BivarPoly.monomial(1, 0, 1)
-    one_minus = ONE - param
-    out: dict = {}
+    """T_g * h, computed as iota(iota(h) * T_g) with iota: T_w -> T_{w^-1}."""
+    return _iota(mult_simple_right(_iota(h), g))
 
-    def add(w, c):
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s:
-            out[w] = s
-        else:
-            del out[w]
 
-    for w, c in h._terms.items():
-        sw = w.apply_left(g)
-        if not w.left_descent(g):
-            add(sw, c)
-        else:
-            add(sw, c * param)
-            add(w, c * one_minus)
-    return HeckeElement._raw(h.rank, out)
+def _iota(h: HeckeElement) -> HeckeElement:
+    """The anti-automorphism T_w -> T_{w^-1}; it fixes coefficients."""
+    return HeckeElement._raw(h.rank, {w.inverse(): c for w, c in h._terms.items()})
 
 
 def _wrap_raw(rank: int, raw: dict) -> HeckeElement:
@@ -304,31 +286,30 @@ def distinguished_factor(
 ) -> tuple[SignedPermutation, SignedPermutation]:
     """Factor w = w' * x with w' in B_n x S_k and x the minimal coset representative.
 
-    Strips left descents of x lying in the parabolic generator set; each strip
-    moves one letter onto w', so length(w) = length(w') + length(x) holds by
-    construction.
+    Closed form (Bjorner & Brenti, Combinatorics of Coxeter Groups, Section 2.4):
+    x^-1 is the minimal element of the left coset w^-1 (B_n x S_k), which
+    right multiplication by the parabolic makes positive and increasing on
+    positions 1..n and increasing on positions n+1..n+k.  So x^-1 is w^-1
+    with its first n entries made positive and sorted and its last k entries
+    sorted, and w' = w * x^-1.  length(w) = length(w') + length(x).
     """
     if len(w) != n + k:
         raise ValueError(f"rank mismatch: {len(w)} vs n + k = {n + k}")
-    gens = parabolic_generators(n, k)
-    x = w
-    wprime = identity(n + k)
-    while True:
-        for g in gens:
-            if x.left_descent(g):
-                x = x.apply_left(g)
-                wprime = wprime.apply_right(g)
-                break
-        else:
-            break
-    return wprime, x
+    inv = w.inverse()
+    x_inv = SignedPermutation(
+        sorted(abs(v) for v in inv[:n]) + sorted(inv[n:]), check=False
+    )
+    return w * x_inv, x_inv.inverse()
 
 
 def is_distinguished(x: SignedPermutation, n: int, k: int) -> bool:
-    """True iff x is the minimal-length element of its coset (B_n x S_k) x."""
-    if len(x) != n + k:
-        raise ValueError(f"rank mismatch: {len(x)} vs n + k = {n + k}")
-    return not any(x.left_descent(g) for g in parabolic_generators(n, k))
+    """True iff x is the minimal-length element of its coset (B_n x S_k) x.
+
+    That is, x is its own closed-form representative (Bjorner & Brenti, Section 2.4):
+    x^-1 is positive and increasing on positions 1..n and increasing on
+    positions n+1..n+k.
+    """
+    return distinguished_factor(x, n, k)[1] == x
 
 
 @dataclass(frozen=True)
@@ -347,18 +328,6 @@ class ParabolicDecomposition:
         for x in self.components:
             if not is_distinguished(x, self.n, self.k):
                 raise ValueError(f"{x} is not a distinguished representative")
-
-    @property
-    def rank(self) -> int:
-        return self.n + self.k
-
-    def reassemble(self) -> HeckeElement:
-        total = HeckeElement._raw(self.rank, {})
-        for x, comp in sorted(
-            self.components.items(), key=lambda it: _sort_key(it[0])
-        ):
-            total = total + mult(comp, t_of(x))
-        return total
 
 
 def parabolic_decompose(h: HeckeElement, n: int, k: int) -> ParabolicDecomposition:

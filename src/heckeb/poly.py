@@ -24,7 +24,6 @@ __all__ = [
     "ZERO",
     "cyclotomic",
     "reduce_mod_cyclotomic",
-    "specialize",
 ]
 
 
@@ -315,6 +314,3 @@ def reduce_mod_cyclotomic(a: BivarPoly, mod: CyclotomicModulus) -> BivarPoly:
             out[(pe, qe)] = c
     return BivarPoly._raw(out)
 
-
-def specialize(a: BivarPoly, p_val: int, q_val: int) -> int:
-    return a.specialize(p_val, q_val)

@@ -23,7 +23,6 @@ __all__ = [
     "make_w_nk",
     "make_cycle",
     "coset_membership",
-    "parabolic_generators",
     "all_elements",
     "symmetric_group_elements",
     "parabolic_elements",
@@ -126,46 +125,11 @@ class SignedPermutation(tuple):
             self[: g - 1] + (self[g], self[g - 1]) + self[g + 1:],
         )
 
-    def apply_left(self, g: int) -> "SignedPermutation":
-        """generator(g) * w: t flips the sign of the value ±1, s_i swaps values i, i+1."""
-        if g == 0:
-            return tuple.__new__(
-                SignedPermutation,
-                (-v if abs(v) == 1 else v for v in self),
-            )
-        lo, hi = g, g + 1
-
-        def img(v):
-            a = abs(v)
-            if a == lo:
-                return hi if v > 0 else -hi
-            if a == hi:
-                return lo if v > 0 else -lo
-            return v
-
-        return tuple.__new__(SignedPermutation, (img(v) for v in self))
-
     def right_descent(self, g: int) -> bool:
         """True iff length(w * generator(g)) < length(w)."""
         if g == 0:
             return self[0] < 0
         return self[g - 1] > self[g]
-
-    def left_descent(self, g: int) -> bool:
-        """True iff length(generator(g) * w) < length(w)."""
-        if g == 0:
-            for v in self:
-                if abs(v) == 1:
-                    return v < 0
-            raise ValueError("rank 0 has no generators")
-        # descent iff the signed position of value g exceeds that of g+1
-        pos_lo = pos_hi = 0
-        for i, v in enumerate(self, start=1):
-            if abs(v) == g:
-                pos_lo = i if v > 0 else -i
-            elif abs(v) == g + 1:
-                pos_hi = i if v > 0 else -i
-        return pos_lo > pos_hi
 
     def descents(self) -> list[int]:
         return [g for g in range(len(self)) if self.right_descent(g)]
@@ -300,13 +264,6 @@ def coset_membership(w: SignedPermutation, n: int, k: int) -> bool:
     if len(w) != n + k:
         raise ValueError(f"rank mismatch: {len(w)} vs n + k = {n + k}")
     return all(w[n + i] < -n for i in range(k))
-
-
-def parabolic_generators(n: int, k: int) -> list[int]:
-    """Generator indices of the standard parabolic B_n x S_k inside B_{n+k}."""
-    gens = list(range(n))  # t, s_1, ..., s_{n-1} generate the B_n factor
-    gens.extend(range(n + 1, n + k))  # s_{n+1}, ..., s_{n+k-1} the S_k factor
-    return gens
 
 
 def all_elements(rank: int):

@@ -122,6 +122,15 @@ class TestVerify:
             for r in reports
         )
 
+    @pytest.mark.parametrize(
+        "suite,max_rank", [("conj", "0"), ("tc", "2"), ("w0k", "0")]
+    )
+    def test_empty_selection_exits_2(self, capsys, suite, max_rank):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-rank", max_rank)
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "no checks" in err
+
     def test_small_all_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-rank", "3")
         assert code == 0

@@ -10,7 +10,6 @@ from heckeb.combinat import (
     count_separated,
     enumerate_good,
     enumerate_separated,
-    good_involutions_filter,
     neat_count,
     pred,
     shift_separated,
@@ -20,7 +19,23 @@ from heckeb.combinat import (
     succ,
     symmetric_involutions,
 )
-from heckeb.signedperm import SignedPermutation, identity, symmetric_group_elements
+from heckeb.signedperm import (
+    SignedPermutation,
+    all_elements,
+    identity,
+    symmetric_group_elements,
+)
+
+
+def good_involutions_filter(k):
+    """Oracle: G_k by exhaustive filtering of all 2^k k! elements of B_k."""
+    out = [
+        GoodInvolution(w)
+        for w in all_elements(k)
+        if all(v == i or v < 0 for i, v in enumerate(w, start=1)) and w.is_involution()
+    ]
+    out.sort(key=lambda g: g.perm)
+    return out
 
 
 class TestEnumerateGood:

@@ -31,6 +31,38 @@ from heckeb.signedperm import (
 F2 = ONE - (ONE + Q) * P + P * P
 
 
+def parabolic_generators(n, k):
+    """Generator indices of the standard parabolic B_n x S_k inside B_{n+k}."""
+    return list(range(n)) + list(range(n + 1, n + k))
+
+
+def stripping_factor(w, n, k):
+    """Oracle for distinguished_factor, by the group law alone.
+
+    Strips parabolic left descents of x one letter at a time, moving each
+    letter onto w', until no parabolic generator shortens x.
+    """
+    rank = n + k
+    x, wprime = w, identity(rank)
+    while True:
+        length = x.length()
+        for g in parabolic_generators(n, k):
+            s = generator(g, rank)
+            if (s * x).length() < length:
+                x, wprime = s * x, wprime * s
+                break
+        else:
+            return wprime, x
+
+
+def reassemble(dec):
+    """sum_x component_x * T_x, undoing parabolic_decompose."""
+    total = HeckeElement(dec.n + dec.k, {})
+    for x, comp in dec.components.items():
+        total = total + mult(comp, t_of(x))
+    return total
+
+
 def random_element(rank, rng, n_terms=3):
     pool = list(all_elements(rank))
     terms = {}
@@ -74,10 +106,13 @@ class TestBasics:
 
     def test_left_agrees_with_general_product(self):
         rng = random.Random(41)
-        for _ in range(5):
-            h = random_element(3, rng)
-            for g in range(3):
-                assert mult_simple_left(g, h) == mult(t_of(generator(g, 3)), h)
+        for rank in range(1, 5):
+            for _ in range(5):
+                h = random_element(rank, rng, n_terms=min(3, 2**rank))
+                for g in range(rank):
+                    assert mult_simple_left(g, h) == mult(
+                        t_of(generator(g, rank)), h
+                    )
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_quadratic_relations_all_generators(self, rank):
@@ -205,6 +240,20 @@ class TestDistinguishedFactor:
         assert len(seen) == 12
         assert all(len(c) == 4 for c in seen.values())
 
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_matches_stripping_oracle_exhaustively(self, rank):
+        for n in range(rank + 1):
+            k = rank - n
+            for w in all_elements(rank):
+                wp, x = distinguished_factor(w, n, k)
+                assert (wp, x) == stripping_factor(w, n, k), (w, n, k)
+                assert w.length() == wp.length() + x.length()
+                assert is_distinguished(w, n, k) == (x == w)
+
+    def test_parabolic_generator_indices(self):
+        assert parabolic_generators(2, 2) == [0, 1, 3]
+        assert parabolic_generators(0, 3) == [1, 2]
+
     def test_wnk_maximal_among_representatives(self):
         reps = {distinguished_factor(w, 1, 2)[1] for w in all_elements(3)}
         lengths = sorted(x.length() for x in reps)
@@ -230,7 +279,7 @@ class TestParabolicDecompose:
         for _ in range(4):
             h = random_element(4, rng, n_terms=5)
             dec = parabolic_decompose(h, 2, 2)
-            assert dec.reassemble() == h
+            assert reassemble(dec) == h
 
     def test_rejects_non_distinguished_keys(self):
         from heckeb.hecke import ParabolicDecomposition
