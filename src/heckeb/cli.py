@@ -10,8 +10,9 @@ Subcommands:
     verify      run verification suites and report pass/fail
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-``verify`` selection with no checks in it).  All output goes to stdout;
-diagnostics go to stderr.
+``verify`` selection with no checks in it, and input over a cap: ``good --k``
+above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, or a ``mult`` exponent above
+words.MAX_EXPONENT).  All output goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from .verify import (
     f_k_separated,
     run_suite,
 )
-from .words import WordSyntaxError, evaluate_word, parse_word
+from .words import MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
+
+# Input caps.  On a 2-vCPU host, ``good --k 10`` takes about 10 s and 150 MB
+# (k = 11 has four times as many rows), and ``sep --k 28`` about 13 s and
+# 210 MB (each step of 2 in k costs about 2.7x).
+GOOD_MAX_K = 10
+SEP_MAX_K = 28
 
 F_K_METHODS = {
     "direct": f_k_direct,
@@ -83,7 +90,13 @@ def _cmd_fk(args) -> int:
     return 0
 
 
+def _check_cap(command: str, k: int, cap: int) -> None:
+    if k > cap:
+        raise ValueError(f"{command} --k {k} exceeds the cap {cap}")
+
+
 def _cmd_good(args) -> int:
+    _check_cap("good", args.k, GOOD_MAX_K)
     closed = closed_form_w0k_square(args.k)
     rows = []
     for g in enumerate_good(args.k):
@@ -108,6 +121,7 @@ def _cmd_good(args) -> int:
 
 
 def _cmd_sep(args) -> int:
+    _check_cap("sep", args.k, SEP_MAX_K)
     sets = enumerate_separated(args.k)
     sizes = sorted({len(s) for s in sets})
     counts = [
@@ -182,18 +196,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("good", help="tabulate good involutions with statistics")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"rank, at most {GOOD_MAX_K}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_good)
 
     p = sub.add_parser("sep", help="tabulate separated k-sets")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"at most {SEP_MAX_K}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sep)
 
     p = sub.add_parser("mult", help="evaluate a word expression in the Hecke algebra")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--expr", required=True)
+    p.add_argument(
+        "--expr", required=True, help=f"word expression; exponents at most {MAX_EXPONENT}"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mult)
 

@@ -108,6 +108,8 @@ def _report(statement, params, t0, mismatches) -> VerificationReport:
 
 
 def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> list:
+    if lhs == rhs:
+        return []
     out = []
     keys = set(lhs.support()) | set(rhs.support())
     for w in sorted(keys, key=lambda w: (w.length(), tuple(w))):
@@ -127,22 +129,28 @@ def closed_form_w0k_square(k: int) -> HeckeElement:
 
     Each w in G_k contributes p^((k+a-a')/2) (1-p)^a' q^c (1-q)^((k-a-a')/2) T_w
     with a = a(w), a' = a(-w), c = c(w); both exponents must come out integral.
+    The weight depends only on (a, a', c), so it is built once per triple and
+    the same (immutable) BivarPoly is shared by every w with that triple.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     one_minus_p = ONE - P
     one_minus_q = ONE - Q
+    weights = {}
     terms = {}
     for g in enumerate_good(k):
-        a, a_neg, c = g.a, g.a_neg, g.c
-        if (k + a - a_neg) % 2 or (k - a - a_neg) % 2:
-            raise ArithmeticError(f"non-integer exponent for {g.perm}")
-        coeff = (
-            P ** ((k + a - a_neg) // 2)
-            * one_minus_p**a_neg
-            * Q**c
-            * one_minus_q ** ((k - a - a_neg) // 2)
-        )
+        signature = (g.a, g.a_neg, g.c)
+        coeff = weights.get(signature)
+        if coeff is None:
+            a, a_neg, c = signature
+            if (k + a - a_neg) % 2 or (k - a - a_neg) % 2:
+                raise ArithmeticError(f"non-integer exponent for {g.perm}")
+            coeff = weights[signature] = (
+                P ** ((k + a - a_neg) // 2)
+                * one_minus_p**a_neg
+                * Q**c
+                * one_minus_q ** ((k - a - a_neg) // 2)
+            )
         terms[g.perm] = coeff
     return HeckeElement(k, terms)
 
@@ -159,15 +167,23 @@ def verify_w0k(k: int) -> VerificationReport:
 # -- the polynomials f_k -------------------------------------------------------
 
 def f_k_direct(k: int) -> BivarPoly:
-    """f_k as the sum over involutions of S_k weighted by fixed points and neat pairs."""
+    """f_k as the sum over involutions of S_k weighted by fixed points and neat pairs.
+
+    An involution w contributes p^((k-a)/2) (1-q)^((k-a)/2) (1-p)^a q^neat with
+    a = a(w) and neat = neat_count(w); the involutions are counted per (a, neat)
+    and each distinct weight is built once.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    multiplicity: dict[tuple[int, int], int] = {}
+    for w in symmetric_involutions(k):
+        signature = (stat_a(w), neat_count(w))
+        multiplicity[signature] = multiplicity.get(signature, 0) + 1
     pq = P * (ONE - Q)
     one_minus_p = ONE - P
     total = BivarPoly(0)
-    for w in symmetric_involutions(k):
-        a = stat_a(w)
-        total = total + pq ** ((k - a) // 2) * one_minus_p**a * Q ** neat_count(w)
+    for (a, neat), count in multiplicity.items():
+        total = total + count * (pq ** ((k - a) // 2) * one_minus_p**a * Q**neat)
     return total
 
 

@@ -10,6 +10,11 @@ Tokens are the generators ("t", "s1", "s2", ...) and the named elements
 "w0" (longest element of the ambient rank), "w_nk(n,k)" and "c(n,k)".
 Parsing and printing are mutually inverse on canonical forms; unknown or
 malformed input is rejected with the byte offset of the offending token.
+
+Evaluation does one product per unit of exponent, and the cost of each
+product grows with the coefficient degrees, so exponents are capped at
+MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at rank 3 takes about 0.9 s on
+a 2-vCPU host, against 13 s for ``^64``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .hecke import HeckeElement, mult, t_of, unit
 from .signedperm import generator, identity, make_cycle, make_w_nk
 
 __all__ = [
+    "MAX_EXPONENT",
     "WordSyntaxError",
     "WordExpression",
     "WordFactor",
@@ -77,10 +83,17 @@ class GroupAtom:
         return f"( {self.expr} )"
 
 
+MAX_EXPONENT = 32
+
+
 @dataclass(frozen=True)
 class WordFactor:
     atom: object
     exponent: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.exponent <= MAX_EXPONENT:
+            raise ValueError(f"exponent {self.exponent} is outside 0..{MAX_EXPONENT}")
 
     def __str__(self):
         text = str(self.atom)
@@ -160,7 +173,10 @@ class _Parser:
         if tok and tok[0] == "^":
             self.next()
             exp_tok = self.expect("INT")
-            return WordFactor(atom, int(exp_tok[1]))
+            try:
+                return WordFactor(atom, int(exp_tok[1]))
+            except ValueError as exc:
+                raise WordSyntaxError(str(exc), exp_tok[2]) from None
         return WordFactor(atom)
 
     def parse_atom(self):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from heckeb.cli import main
+from heckeb import cli
+from heckeb.cli import GOOD_MAX_K, SEP_MAX_K, main
 from heckeb.hecke import HeckeElement, mult, t_of
 from heckeb.poly import BivarPoly
 from heckeb.signedperm import make_w_nk
+from heckeb.words import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -83,6 +85,31 @@ class TestGoodAndSep:
         data = json.loads(blob)
         assert [0, 2] in data["sets"]
         assert {"size": 0, "count": 1, "formula": 1} in data["counts"]
+
+
+class TestInputCaps:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # an input over a cap must be refused before any enumeration or product
+        def refuse(*args):
+            raise AssertionError("work started for an input over the cap")
+
+        for name in ("closed_form_w0k_square", "enumerate_good", "enumerate_separated", "evaluate_word"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (("good", "--k", str(GOOD_MAX_K + 1)), GOOD_MAX_K + 1),
+            (("sep", "--k", str(SEP_MAX_K + 1)), SEP_MAX_K + 1),
+            (("mult", "--rank", "2", "--expr", f"( t s1 )^{MAX_EXPONENT + 1}"), MAX_EXPONENT + 1),
+        ],
+    )
+    def test_over_cap_exits_2(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err and str(value) in err
 
 
 class TestMult:

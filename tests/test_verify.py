@@ -4,11 +4,37 @@ import json
 
 import pytest
 
-from heckeb.combinat import enumerate_good
+from heckeb.combinat import enumerate_good, neat_count, stat_a, symmetric_involutions
 from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb import verify as V
+
+
+# -- reference oracles: one weight built per involution -------------------------
+
+def closed_form_oracle(k):
+    """T_{w_{0,k}}^2 over G_k, building every good involution's weight afresh."""
+    terms = {}
+    for g in enumerate_good(k):
+        a, a_neg, c = g.a, g.a_neg, g.c
+        assert (k + a - a_neg) % 2 == 0 and (k - a - a_neg) % 2 == 0
+        terms[g.perm] = (
+            P ** ((k + a - a_neg) // 2)
+            * (ONE - P) ** a_neg
+            * Q**c
+            * (ONE - Q) ** ((k - a - a_neg) // 2)
+        )
+    return HeckeElement(k, terms)
+
+
+def f_k_direct_oracle(k):
+    """f_k summed one involution of S_k at a time."""
+    total = BivarPoly(0)
+    for w in symmetric_involutions(k):
+        a = stat_a(w)
+        total = total + (P * (ONE - Q)) ** ((k - a) // 2) * (ONE - P) ** a * Q ** neat_count(w)
+    return total
 
 
 class TestClosedForm:
@@ -26,6 +52,25 @@ class TestClosedForm:
     def test_support_is_good_involutions(self, k):
         closed = V.closed_form_w0k_square(k)
         assert set(closed.support()) == {g.perm for g in enumerate_good(k)}
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_per_involution_oracle(self, k):
+        assert V.closed_form_w0k_square(k) == closed_form_oracle(k)
+
+    def test_shared_weights_are_never_mutated(self):
+        closed = V.closed_form_w0k_square(4)
+        coefficients = [c for _, c in closed.sorted_terms()]
+        # several involutions share one weight object, so a mutation would spread
+        assert len({id(c) for c in coefficients}) < len(coefficients)
+        snapshot = closed.to_json()
+        t = t_of(generator(0, 4))
+        mult(closed, t)
+        mult(t, closed)
+        mult(closed, closed)
+        closed + closed
+        closed.scale(P - Q)
+        closed.map_coefficients(lambda c: c * Q)
+        assert closed.to_json() == snapshot
 
 
 class TestW0k:
@@ -48,8 +93,29 @@ class TestW0k:
         monkeypatch.setattr(V, "closed_form_w0k_square", broken)
         report = V.verify_w0k(3)
         assert not report.passed
-        assert report.witness
-        assert all({"where", "lhs", "rhs"} <= set(item) for item in report.witness)
+        assert report.witness == [
+            {
+                "where": "T[-1,-2,-3]",
+                "lhs": "1 - 3*p + 3*p^2 - p^3",
+                "rhs": "p - 3*p^2 + 3*p^3 - p^4",
+            }
+        ]
+
+
+class TestMismatches:
+    def test_equal_elements_have_no_witness(self):
+        h = V.closed_form_w0k_square(3)
+        assert V._hecke_mismatches(h, h) == []
+
+    def test_unequal_elements_capped_in_length_window_order(self):
+        h = V.closed_form_w0k_square(3)
+        assert len(h.support()) > V.WITNESS_LIMIT
+        found = V._hecke_mismatches(h, HeckeElement(3, {}), label="x ")
+        expected = [
+            {"where": f"x T{w}", "lhs": str(c), "rhs": "0"}
+            for w, c in h.sorted_terms()[: V.WITNESS_LIMIT]
+        ]
+        assert found == expected
 
 
 class TestFk:
@@ -60,6 +126,10 @@ class TestFk:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_triple_agreement(self, k):
         assert V.f_k_direct(k) == V.f_k_recurrence(k) == V.f_k_separated(k)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_direct_matches_per_involution_oracle(self, k):
+        assert V.f_k_direct(k) == f_k_direct_oracle(k)
 
     def test_k2_separated_expansion_sign(self):
         # the separated 2-set sum expands to 1 - (1+q)p + p^2, minus sign included

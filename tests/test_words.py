@@ -4,7 +4,14 @@ import pytest
 
 from heckeb.hecke import mult, t_of, unit
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
-from heckeb.words import WordSyntaxError, evaluate_word, parse_word
+from heckeb.words import (
+    MAX_EXPONENT,
+    GenAtom,
+    WordFactor,
+    WordSyntaxError,
+    evaluate_word,
+    parse_word,
+)
 
 
 class TestParse:
@@ -36,6 +43,14 @@ class TestParse:
         with pytest.raises(WordSyntaxError) as err:
             parse_word("t s1 $")
         assert err.value.offset == 5
+
+    def test_exponent_cap(self):
+        assert parse_word(f"t^{MAX_EXPONENT}").factors[0].exponent == MAX_EXPONENT
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(f"t s1^{MAX_EXPONENT + 1}")
+        assert err.value.offset == 5
+        with pytest.raises(ValueError):
+            WordFactor(GenAtom(1), MAX_EXPONENT + 1)
 
 
 class TestEvaluate:
