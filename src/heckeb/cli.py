@@ -10,9 +10,11 @@ Subcommands:
     verify      run verification suites and report pass/fail
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-``verify`` selection with no checks in it, and input over a cap: ``good --k``
-above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, or a ``mult`` exponent above
-words.MAX_EXPONENT).  All output goes to stdout; diagnostics go to stderr.
+``verify`` selection with no checks in it, and input over a cap:
+``square-w0k --k`` above SQUARE_MAX_K, ``fk --k`` above FK_MAX_K[method],
+``good --k`` above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, or a ``mult``
+exponent above words.MAX_EXPONENT).  All output goes to stdout; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -21,23 +23,27 @@ import argparse
 import json
 import sys
 
-from .combinat import count_separated, enumerate_good, enumerate_separated
+from .combinat import count_separated, enumerate_separated
 from .hecke import HeckeElement, mult, t_of
 from .poly import cyclotomic, reduce_mod_cyclotomic
 from .signedperm import make_w_nk
 from .verify import (
     SUITES,
-    closed_form_w0k_square,
     f_k_direct,
     f_k_recurrence,
     f_k_separated,
+    good_involution_weights,
     run_suite,
 )
 from .words import MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, ``good --k 10`` takes about 10 s and 150 MB
-# (k = 11 has four times as many rows), and ``sep --k 28`` about 13 s and
-# 210 MB (each step of 2 in k costs about 2.7x).
+# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 7 s
+# and 170 MB (19 s and 1.8 GB with --json; k = 11 has four times as many
+# terms); ``fk`` about 9 s (direct, each step in k about 4x), 10 s
+# (recurrence, about k^4.7) and 11 s (separated, each step about 2x);
+# ``good`` about 4 s and 90 MB (k = 11 has four times as many rows); and
+# ``sep`` about 13 s and 210 MB (each step of 2 in k costs about 2.7x).
+SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 
@@ -46,6 +52,7 @@ F_K_METHODS = {
     "recurrence": f_k_recurrence,
     "separated": f_k_separated,
 }
+FK_MAX_K = {"direct": 13, "recurrence": 90, "separated": 21}
 
 
 def _print_element(h: HeckeElement) -> None:
@@ -63,6 +70,7 @@ def _emit_json(payload) -> None:
 
 
 def _cmd_square_w0k(args) -> int:
+    _check_cap("square-w0k", args.k, SQUARE_MAX_K)
     w = make_w_nk(0, args.k)
     square = mult(t_of(w), t_of(w))
     if args.json:
@@ -73,6 +81,7 @@ def _cmd_square_w0k(args) -> int:
 
 
 def _cmd_fk(args) -> int:
+    _check_cap(f"fk --method {args.method}", args.k, FK_MAX_K[args.method])
     poly = F_K_METHODS[args.method](args.k)
     if args.mod_cyclotomic:
         poly = reduce_mod_cyclotomic(poly, cyclotomic(args.k))
@@ -97,18 +106,13 @@ def _check_cap(command: str, k: int, cap: int) -> None:
 
 def _cmd_good(args) -> int:
     _check_cap("good", args.k, GOOD_MAX_K)
-    closed = closed_form_w0k_square(args.k)
     rows = []
-    for g in enumerate_good(args.k):
-        rows.append(
-            {
-                "w": str(g.perm),
-                "a": g.a,
-                "a_neg": g.a_neg,
-                "c": g.c,
-                "coeff": str(closed.coefficient(g.perm)),
-            }
-        )
+    coeff_text = {}
+    for w, (a, a_neg, c), coeff in good_involution_weights(args.k):
+        text = coeff_text.get((a, a_neg, c))
+        if text is None:
+            text = coeff_text[a, a_neg, c] = str(coeff)
+        rows.append({"w": str(w), "a": a, "a_neg": a_neg, "c": c, "coeff": text})
     if args.json:
         _emit_json({"k": args.k, "count": len(rows), "involutions": rows})
         return 0
@@ -184,12 +188,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("square-w0k", help="print T_{w_{0,k}}^2 in the T-basis")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"at most {SQUARE_MAX_K}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_square_w0k)
 
     p = sub.add_parser("fk", help="print the polynomial f_k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument(
+        "--k",
+        type=int,
+        required=True,
+        help="at most " + ", ".join(f"{cap} ({m})" for m, cap in FK_MAX_K.items()),
+    )
     p.add_argument("--method", choices=sorted(F_K_METHODS), default="direct")
     p.add_argument("--mod-cyclotomic", action="store_true")
     p.add_argument("--json", action="store_true")

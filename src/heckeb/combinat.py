@@ -67,11 +67,20 @@ def neat_count(w: SignedPermutation) -> int:
 
     A pair is neat in w exactly when it is tidy in -w.
     """
-    if any(v < 0 for v in w):
-        raise ValueError(f"{w} is not in the symmetric group")
-    if not w.is_involution():
-        raise ValueError(f"{w} is not an involution")
-    return stat_c(w.negate())
+    k = len(w)
+    for i, v in enumerate(w, start=1):
+        if not 0 < v <= k:
+            raise ValueError(f"{w} is not in the symmetric group")
+        if w[v - 1] != i:
+            raise ValueError(f"{w} is not an involution")
+    # a neat pair i < j has w(j) < i < j and w(i) < j; count the i for each such j
+    count = 0
+    for j, wj in enumerate(w, start=1):
+        if wj < j:
+            for v in w[wj : j - 1]:
+                if v < j:
+                    count += 1
+    return count
 
 
 @dataclass(frozen=True)

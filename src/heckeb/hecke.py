@@ -12,14 +12,32 @@ Left multiplication by a generator goes through the anti-automorphism
 iota: T_w -> T_{w^-1}, as T_g h = iota(iota(h) T_g), so the right fold is the
 only multiplication kernel.  Inverses of basis elements are never formed;
 coefficients stay polynomial.
+
+Kernel representation.  Inside one call of ``mult`` everything is keyed by
+ints, and the result is decoded to windows and BivarPoly once, at the end:
+
+- A window is one int with a field of width (2*rank).bit_length() per
+  position, holding w(i) + rank, so field order is value order.  s_i swaps
+  two fields, t reflects field 0, and a right descent is one field
+  comparison.
+- A monomial p^a q^b is the int a*S + b, so a shift by q adds 1, a shift by
+  p adds S, and multiplying monomials adds keys.  Coefficients are
+  {monomial: int} dicts that the fold owns and updates in place; the
+  factors' own dicts are only read.
+
+Stride guard.  S = qdeg(h1) + qdeg(h2) + max len(w2) + 1, computed per call.
+The product of two coefficients has q-degree at most qdeg(h1) + qdeg(h2),
+and each folded letter raises it by at most one, so every q-exponent met
+stays below S and never carries into the p-part, which lives in the
+unbounded high digits of the key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import BivarPoly, ONE, _iadd_raw, _isub_raw, _mul_raw
-from .signedperm import SignedPermutation, identity, make_w_nk
+from .poly import BivarPoly, ONE, _iadd_raw
+from .signedperm import SignedPermutation, generator, identity, make_w_nk
 
 __all__ = [
     "HeckeElement",
@@ -187,46 +205,80 @@ def t_of(w: SignedPermutation) -> HeckeElement:
     return HeckeElement._raw(len(w), {w: ONE})
 
 
-# -- single-generator multiplication kernel ------------------------------------
+# -- the multiplication kernel (int keys; see the module docstring) -------------
 
-def _fold_right(terms: dict, g: int) -> dict:
-    """Right-multiply a raw {window: coeff-dict} mapping by T_g.
+def _mul_coeffs(a: dict, b: dict) -> dict:
+    """The product of two int-keyed coefficients, as a new dict."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = ka + kb
+            nv = out.get(key, 0) + va * vb
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    return out
+
+
+def _fold(terms: dict, g: int, width: int, rank: int, stride: int) -> dict:
+    """Right-multiply an int-keyed {window: coeff} mapping by T_g, consuming it.
 
     Length-increasing terms move; the rest split by the quadratic relation
     T_w T_g = param*T_{wg} + (1-param)*T_w with param p (g = 0) or q.
     """
-    dp, dq = (1, 0) if g == 0 else (0, 1)
+    mask = (1 << width) - 1
+    if g == 0:
+        shift = stride  # p
+        low, step = 0, 0
+    else:
+        shift = 1  # q
+        low = (g - 1) * width
+        step = (1 << (low + width)) - (1 << low)
+    high = low + width
     out: dict = {}
+    get = out.get
     for w, c in terms.items():
-        ws = w.apply_right(g)
-        if not w.right_descent(g):
-            tgt = out.get(ws)
-            if tgt is None:
-                out[ws] = dict(c)
-            else:
-                _iadd_raw(tgt, c)
-                if not tgt:
-                    del out[ws]
+        if g == 0:
+            a = w & mask
+            ws = w + 2 * (rank - a)  # w(1) -> -w(1)
+            descent = a < rank
         else:
-            shifted = {(pe + dp, qe + dq): v for (pe, qe), v in c.items()}
-            tgt = out.get(ws)
+            a = w >> low & mask
+            b = w >> high & mask
+            ws = w + (a - b) * step  # swap w(g) and w(g+1)
+            descent = a > b
+        if not descent:
+            tgt = get(ws)
             if tgt is None:
-                out[ws] = dict(shifted)
-            else:
-                _iadd_raw(tgt, shifted)
-                if not tgt:
-                    del out[ws]
-            tgt = out.get(w)
-            if tgt is None:
-                rem = dict(c)
-                _isub_raw(rem, shifted)
-                if rem:
-                    out[w] = rem
+                out[ws] = c
             else:
                 _iadd_raw(tgt, c)
-                _isub_raw(tgt, shifted)
                 if not tgt:
-                    del out[w]
+                    del out[ws]
+            continue
+        shifted = {key + shift: v for key, v in c.items()}
+        for key, v in shifted.items():  # c becomes (1 - param) * c
+            nv = c.get(key, 0) - v
+            if nv:
+                c[key] = nv
+            else:
+                del c[key]
+        tgt = get(w)
+        if tgt is None:
+            if c:
+                out[w] = c
+        else:
+            _iadd_raw(tgt, c)
+            if not tgt:
+                del out[w]
+        tgt = get(ws)
+        if tgt is None:
+            out[ws] = shifted
+        else:
+            _iadd_raw(tgt, shifted)
+            if not tgt:
+                del out[ws]
     return out
 
 
@@ -234,8 +286,7 @@ def mult_simple_right(h: HeckeElement, g: int) -> HeckeElement:
     """h * T_g for a single generator index g."""
     if not 0 <= g < h.rank:
         raise ValueError(f"generator index {g} invalid for rank {h.rank}")
-    raw = {w: dict(c._terms) for w, c in h._terms.items()}
-    return _wrap_raw(h.rank, _fold_right(raw, g))
+    return mult(h, t_of(generator(g, h.rank)))
 
 
 def mult_simple_left(g: int, h: HeckeElement) -> HeckeElement:
@@ -248,10 +299,8 @@ def _iota(h: HeckeElement) -> HeckeElement:
     return HeckeElement._raw(h.rank, {w.inverse(): c for w, c in h._terms.items()})
 
 
-def _wrap_raw(rank: int, raw: dict) -> HeckeElement:
-    return HeckeElement._raw(
-        rank, {w: BivarPoly._raw(c) for w, c in raw.items() if c}
-    )
+def _q_degree(h: HeckeElement) -> int:
+    return max((qe for c in h._terms.values() for _, qe in c._terms), default=0)
 
 
 def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
@@ -260,14 +309,38 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     Expands each basis element of h2 along a reduced word and folds the
     generators into h1; well-definedness over the choice of word is a
     consequence of the braid relations (and is exercised by the tests).
+    The fold runs on int keys with the per-call stride described in the
+    module docstring; neither factor is changed.
     """
     h1._check_rank(h2)
+    rank = h1.rank
+    if not h1._terms or not h2._terms:
+        return HeckeElement._raw(rank, {})
+    words = [(w2.reduced_word().letters, c2) for w2, c2 in h2._terms.items()]
+    stride = _q_degree(h1) + _q_degree(h2) + max(len(word) for word, _ in words) + 1
+    width = (2 * rank).bit_length()
+    shifts = [i * width for i in range(rank)]
+
+    def monomials(c: BivarPoly) -> dict:
+        return {pe * stride + qe: v for (pe, qe), v in c._terms.items()}
+
+    left = [
+        (sum((v + rank) << s for v, s in zip(w1, shifts)), monomials(c1))
+        for w1, c1 in h1._terms.items()
+    ]
     acc: dict = {}
-    for w2, c2 in h2._terms.items():
-        raw2 = c2._terms
-        cur = {w1: _mul_raw(c1._terms, raw2) for w1, c1 in h1._terms.items()}
-        for g in w2.reduced_word().letters:
-            cur = _fold_right(cur, g)
+    for word, c2 in words:
+        right = monomials(c2)
+        cur = {}
+        for w1, c1 in left:
+            prod = _mul_coeffs(c1, right)
+            if prod:
+                cur[w1] = prod
+        for g in word:
+            cur = _fold(cur, g, width, rank, stride)
+        if not acc:
+            acc = cur
+            continue
         for w, c in cur.items():
             tgt = acc.get(w)
             if tgt is None:
@@ -276,7 +349,23 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
                 _iadd_raw(tgt, c)
                 if not tgt:
                     del acc[w]
-    return _wrap_raw(h1.rank, acc)
+
+    # Decode once, popping as we go so the int-keyed form is freed while the
+    # BivarPoly form is built; each distinct monomial gets one shared tuple.
+    mask = (1 << width) - 1
+    exponents: dict = {}
+    out = {}
+    while acc:
+        w, c = acc.popitem()
+        poly = {}
+        for key, v in c.items():
+            pq = exponents.get(key)
+            if pq is None:
+                pq = exponents[key] = divmod(key, stride)
+            poly[pq] = v
+        window = [(w >> s & mask) - rank for s in shifts]
+        out[tuple.__new__(SignedPermutation, window)] = BivarPoly._raw(poly)
+    return HeckeElement._raw(rank, out)
 
 
 # -- parabolic coset machinery ----------------------------------------------------

@@ -39,6 +39,7 @@ from .signedperm import (
 
 __all__ = [
     "VerificationReport",
+    "good_involution_weights",
     "closed_form_w0k_square",
     "verify_w0k",
     "f_k_direct",
@@ -124,20 +125,20 @@ def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> 
 
 # -- squares of w_{0,k} ------------------------------------------------------
 
-def closed_form_w0k_square(k: int) -> HeckeElement:
-    """The combinatorial expansion of T_{w_{0,k}}^2 over good involutions.
+def good_involution_weights(k: int):
+    """Each w in G_k, in window order, as (w, (a, a', c), weight).
 
-    Each w in G_k contributes p^((k+a-a')/2) (1-p)^a' q^c (1-q)^((k-a-a')/2) T_w
-    with a = a(w), a' = a(-w), c = c(w); both exponents must come out integral.
-    The weight depends only on (a, a', c), so it is built once per triple and
-    the same (immutable) BivarPoly is shared by every w with that triple.
+    The weight p^((k+a-a')/2) (1-p)^a' q^c (1-q)^((k-a-a')/2), with a = a(w),
+    a' = a(-w) and c = c(w), is the coefficient of T_w in T_{w_{0,k}}^2; both
+    exponents must come out integral.  The weight depends only on (a, a', c),
+    so it is built once per triple and the same (immutable) BivarPoly is
+    shared by every w with that triple.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     one_minus_p = ONE - P
     one_minus_q = ONE - Q
     weights = {}
-    terms = {}
     for g in enumerate_good(k):
         signature = (g.a, g.a_neg, g.c)
         coeff = weights.get(signature)
@@ -151,8 +152,13 @@ def closed_form_w0k_square(k: int) -> HeckeElement:
                 * Q**c
                 * one_minus_q ** ((k - a - a_neg) // 2)
             )
-        terms[g.perm] = coeff
-    return HeckeElement(k, terms)
+        yield g.perm, signature, coeff
+
+
+def closed_form_w0k_square(k: int) -> HeckeElement:
+    """The combinatorial expansion of T_{w_{0,k}}^2 over good involutions:
+    sum over w in G_k of the weight from good_involution_weights times T_w."""
+    return HeckeElement(k, {w: coeff for w, _, coeff in good_involution_weights(k)})
 
 
 def verify_w0k(k: int) -> VerificationReport:

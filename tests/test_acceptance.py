@@ -72,6 +72,14 @@ def test_criterion_04_slow_rank7():
     _criterion(4, ok, f"main identity at n+k=7 ({elapsed:.1f}s < 900s, opt-in)")
 
 
+@pytest.mark.slow
+def test_criterion_04_slow_rank8_pairs():
+    # correctness only: no time bound is set for n+k = 8 yet
+    pairs = [(4, 4), (1, 7)]
+    ok = all(V.verify_main(n, k).passed for n, k in pairs)
+    _criterion(4, ok, "main identity at (n,k) = (4,4) and (1,7), opt-in")
+
+
 def test_criterion_05_conjugation_expansion():
     ok = all(V.verify_conj_lemma(k).passed for k in range(1, 6))
     _criterion(5, ok, "T_x T_w T_x^-1 expansion for every good involution, k=1..5")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from heckeb import cli
-from heckeb.cli import GOOD_MAX_K, SEP_MAX_K, main
+from heckeb.cli import FK_MAX_K, GOOD_MAX_K, SEP_MAX_K, SQUARE_MAX_K, main
 from heckeb.hecke import HeckeElement, mult, t_of
 from heckeb.poly import BivarPoly
 from heckeb.signedperm import make_w_nk
@@ -94,8 +94,10 @@ class TestInputCaps:
         def refuse(*args):
             raise AssertionError("work started for an input over the cap")
 
-        for name in ("closed_form_w0k_square", "enumerate_good", "enumerate_separated", "evaluate_word"):
+        for name in ("mult", "good_involution_weights", "enumerate_separated", "evaluate_word"):
             monkeypatch.setattr(cli, name, refuse)
+        for method in cli.F_K_METHODS:
+            monkeypatch.setitem(cli.F_K_METHODS, method, refuse)
 
     @pytest.mark.parametrize(
         "argv,value",
@@ -103,6 +105,11 @@ class TestInputCaps:
             (("good", "--k", str(GOOD_MAX_K + 1)), GOOD_MAX_K + 1),
             (("sep", "--k", str(SEP_MAX_K + 1)), SEP_MAX_K + 1),
             (("mult", "--rank", "2", "--expr", f"( t s1 )^{MAX_EXPONENT + 1}"), MAX_EXPONENT + 1),
+            (("square-w0k", "--k", str(SQUARE_MAX_K + 1)), SQUARE_MAX_K + 1),
+            *(
+                (("fk", "--k", str(cap + 1), "--method", method), cap + 1)
+                for method, cap in FK_MAX_K.items()
+            ),
         ],
     )
     def test_over_cap_exits_2(self, capsys, argv, value):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeb.hecke import (
     HeckeElement,
@@ -17,7 +19,17 @@ from heckeb.hecke import (
     unit,
     z_coefficient,
 )
-from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
+from heckeb.poly import (
+    BivarPoly,
+    ONE,
+    P,
+    Q,
+    _iadd_raw,
+    _isub_raw,
+    _mul_raw,
+    cyclotomic,
+    reduce_mod_cyclotomic,
+)
 from heckeb.signedperm import (
     SignedPermutation,
     all_elements,
@@ -27,6 +39,7 @@ from heckeb.signedperm import (
     make_w_nk,
     parabolic_elements,
 )
+from heckeb.verify import closed_form_w0k_square
 
 F2 = ONE - (ONE + Q) * P + P * P
 
@@ -61,6 +74,41 @@ def reassemble(dec):
     for x, comp in dec.components.items():
         total = total + mult(comp, t_of(x))
     return total
+
+
+def _oracle_fold_right(terms, g):
+    """Right-multiply a raw {window: {(pe, qe): int}} mapping by T_g."""
+    dp, dq = (1, 0) if g == 0 else (0, 1)
+    out = {}
+    for w, c in terms.items():
+        ws = w.apply_right(g)
+        if not w.right_descent(g):
+            _iadd_raw(out.setdefault(ws, {}), c)
+            continue
+        shifted = {(pe + dp, qe + dq): v for (pe, qe), v in c.items()}
+        _iadd_raw(out.setdefault(ws, {}), shifted)
+        tgt = out.setdefault(w, {})
+        _iadd_raw(tgt, c)
+        _isub_raw(tgt, shifted)
+    return {w: c for w, c in out.items() if c}
+
+
+def oracle_mult(h1, h2):
+    """Oracle for mult: the tuple-keyed fold over windows and (pe, qe) monomials.
+
+    Every basis element of h2 is expanded along a reduced word and folded
+    into h1 one generator at a time, on SignedPermutation windows and
+    BivarPoly-style term dicts.
+    """
+    assert h1.rank == h2.rank
+    acc = {}
+    for w2, c2 in h2._terms.items():
+        cur = {w1: _mul_raw(c1._terms, c2._terms) for w1, c1 in h1._terms.items()}
+        for g in w2.reduced_word().letters:
+            cur = _oracle_fold_right(cur, g)
+        for w, c in cur.items():
+            _iadd_raw(acc.setdefault(w, {}), c)
+    return HeckeElement(h1.rank, {w: BivarPoly(c) for w, c in acc.items() if c})
 
 
 def random_element(rank, rng, n_terms=3):
@@ -365,3 +413,96 @@ class TestFormats:
         assert a + b - a == b
         assert (a + a) == a.scale(2)
         assert a.scale(0) == HeckeElement(2, {})
+
+
+_POOLS = {rank: list(all_elements(rank)) for rank in range(5)}
+
+
+@st.composite
+def hecke_elements(draw, rank):
+    coeff = st.one_of(
+        st.just({(0, 0): 1}),
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 6)), st.integers(-30, 30), max_size=5
+        ),
+    )
+    terms = draw(st.dictionaries(st.sampled_from(_POOLS[rank]), coeff, max_size=4))
+    return HeckeElement(rank, {w: BivarPoly(c) for w, c in terms.items()})
+
+
+@st.composite
+def hecke_pairs(draw):
+    rank = draw(st.integers(0, 4))
+    return draw(hecke_elements(rank)), draw(hecke_elements(rank))
+
+
+class TestKernel:
+    """The int-keyed kernel in mult against the tuple-keyed oracle."""
+
+    @pytest.mark.parametrize("rank", range(1, 4))
+    def test_every_basis_pair_matches_oracle(self, rank):
+        pool = list(all_elements(rank))
+        for x in pool:
+            for y in pool:
+                assert mult(t_of(x), t_of(y)) == oracle_mult(t_of(x), t_of(y)), (x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hecke_pairs())
+    def test_multi_term_elements_match_oracle(self, pair):
+        h1, h2 = pair
+        assert mult(h1, h2) == oracle_mult(h1, h2)
+
+    def test_high_degrees_do_not_overflow_the_stride(self):
+        rng = random.Random(7)
+        wide = BivarPoly({(50, 0): 3, (0, 200): -2, (50, 200): 5, (1, 1): 1})
+        for rank in (2, 3):
+            for _ in range(4):
+                h1 = random_element(rank, rng).scale(wide)
+                h2 = random_element(rank, rng).scale(wide)
+                product = mult(h1, h2)
+                assert product == oracle_mult(h1, h2)
+                assert any(
+                    pe >= 100 and qe >= 400
+                    for c in product._terms.values()
+                    for pe, qe in c._terms
+                )
+
+    def test_rank_zero(self):
+        h = HeckeElement(0, {identity(0): ONE + P * Q})
+        assert mult(h, h) == HeckeElement(0, {identity(0): (ONE + P * Q) ** 2})
+        assert mult(h, HeckeElement(0, {})) == HeckeElement(0, {})
+
+    def test_rank_one(self):
+        t = generator(0, 1)
+        h = HeckeElement(1, {identity(1): Q, t: ONE - P})
+        assert mult(h, h) == oracle_mult(h, h)
+        assert mult(t_of(t), h) == HeckeElement(1, {identity(1): P - P * P, t: Q + (ONE - P) ** 2})
+
+    def test_rank_sixteen_uses_six_bit_fields(self):
+        rng = random.Random(16)
+        rank = 16
+        x = identity(rank).negate()
+        y = SignedPermutation([-16] + list(range(2, 16)) + [1])
+        short = identity(rank)
+        for g in (15, 0, 14, 15, 1, 0):
+            short = short.apply_right(g)
+        for left in (x, y, x * y):
+            for right in (short, generator(15, rank), generator(0, rank)):
+                h1 = HeckeElement(rank, {left: ONE + P, short: Q})
+                assert mult(h1, t_of(right)) == oracle_mult(h1, t_of(right))
+        for _ in range(5):
+            signs = rng.choices((1, -1), k=rank)
+            v = SignedPermutation(
+                [s * a for s, a in zip(signs, rng.sample(range(1, rank + 1), rank))]
+            )
+            assert mult(t_of(v), t_of(short)).specialize(1, 1) == {v * short: 1}
+
+    def test_factors_are_not_changed(self):
+        rng = random.Random(3)
+        closed = closed_form_w0k_square(3)
+        others = [random_element(3, rng, n_terms=5), t_of(make_w_nk(0, 3)), closed]
+        before = [h.to_json() for h in others]
+        for h1 in others:
+            for h2 in others:
+                mult(h1, h2)
+        assert [h.to_json() for h in others] == before
