@@ -12,14 +12,16 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 ``verify`` selection with no checks in it, and input over a cap:
 ``square-w0k --k`` above SQUARE_MAX_K, ``fk --k`` above FK_MAX_K[method],
-``good --k`` above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, or a ``mult``
-exponent above words.MAX_EXPONENT).  All output goes to stdout; diagnostics
-go to stderr.
+``good --k`` above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, ``mult --rank``
+above MULT_MAX_RANK, or a ``mult`` exponent above words.MAX_EXPONENT).  The
+rank cap bounds the support of a product (at most |B_6| terms), not its time.
+All output goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -38,14 +40,17 @@ from .verify import (
 from .words import MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
 # Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 7 s
-# and 170 MB (19 s and 1.8 GB with --json; k = 11 has four times as many
-# terms); ``fk`` about 9 s (direct, each step in k about 4x), 10 s
-# (recurrence, about k^4.7) and 11 s (separated, each step about 2x);
-# ``good`` about 4 s and 90 MB (k = 11 has four times as many rows); and
-# ``sep`` about 13 s and 210 MB (each step of 2 in k costs about 2.7x).
+# and 170 MB (16 s and 550 MB with --json; k = 11 has four times as many
+# terms); ``fk`` about 5 s (direct, each step in k about 4x), 10 s
+# (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
+# ``good`` about 3 s and 80 MB (k = 11 has four times as many rows); and
+# ``sep`` about 10 s and 210 MB (each step of 2 in k costs about 2.7x).
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
+# ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
+# ``w0 w0`` at rank 6 takes about 9 s and 230 MB; B_7 has 645,120.
+MULT_MAX_RANK = 6
 
 F_K_METHODS = {
     "direct": f_k_direct,
@@ -66,11 +71,16 @@ def _print_element(h: HeckeElement) -> None:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    # Batches of encoder chunks: the whole text of a large payload is never
+    # held at once, and an unbuffered stdout does not get one write per chunk.
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _cmd_square_w0k(args) -> int:
-    _check_cap("square-w0k", args.k, SQUARE_MAX_K)
+    _check_cap("square-w0k --k", args.k, SQUARE_MAX_K)
     w = make_w_nk(0, args.k)
     square = mult(t_of(w), t_of(w))
     if args.json:
@@ -81,7 +91,7 @@ def _cmd_square_w0k(args) -> int:
 
 
 def _cmd_fk(args) -> int:
-    _check_cap(f"fk --method {args.method}", args.k, FK_MAX_K[args.method])
+    _check_cap(f"fk --method {args.method} --k", args.k, FK_MAX_K[args.method])
     poly = F_K_METHODS[args.method](args.k)
     if args.mod_cyclotomic:
         poly = reduce_mod_cyclotomic(poly, cyclotomic(args.k))
@@ -99,13 +109,13 @@ def _cmd_fk(args) -> int:
     return 0
 
 
-def _check_cap(command: str, k: int, cap: int) -> None:
-    if k > cap:
-        raise ValueError(f"{command} --k {k} exceeds the cap {cap}")
+def _check_cap(option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{option} {value} exceeds the cap {cap}")
 
 
 def _cmd_good(args) -> int:
-    _check_cap("good", args.k, GOOD_MAX_K)
+    _check_cap("good --k", args.k, GOOD_MAX_K)
     rows = []
     coeff_text = {}
     for w, (a, a_neg, c), coeff in good_involution_weights(args.k):
@@ -125,7 +135,7 @@ def _cmd_good(args) -> int:
 
 
 def _cmd_sep(args) -> int:
-    _check_cap("sep", args.k, SEP_MAX_K)
+    _check_cap("sep --k", args.k, SEP_MAX_K)
     sets = enumerate_separated(args.k)
     sizes = sorted({len(s) for s in sets})
     counts = [
@@ -148,6 +158,7 @@ def _cmd_sep(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    _check_cap("mult --rank", args.rank, MULT_MAX_RANK)
     try:
         expr = parse_word(args.expr)
         element = evaluate_word(expr, args.rank)
@@ -215,7 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sep)
 
     p = sub.add_parser("mult", help="evaluate a word expression in the Hecke algebra")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument(
+        "--rank",
+        type=int,
+        required=True,
+        help=f"at most {MULT_MAX_RANK}; the cap bounds the support size, not the time",
+    )
     p.add_argument(
         "--expr", required=True, help=f"word expression; exponents at most {MAX_EXPONENT}"
     )

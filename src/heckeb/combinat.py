@@ -5,6 +5,9 @@ The set G_k of good involutions carries three statistics: a(w) counts fixed
 points among 1..k, d(i, w) counts fixed points strictly above i, and c(w)
 counts the unordered "tidy" pairs {i, j} with -w(i) < j and -w(j) < i.
 
+G_k is enumerated through its bijection with the pairs (s, F) of an involution
+s of S_k and a subset F of the fixed points of s: w = -s with F made positive.
+
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
 x missing one letter), which realizes the successor/predecessor recursion.
 
@@ -15,10 +18,11 @@ f_k computed in the verifier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .signedperm import SignedPermutation, generator, identity
+from .signedperm import SignedPermutation, generator
 
 __all__ = [
     "GoodInvolution",
@@ -90,12 +94,11 @@ class GoodInvolution:
     perm: SignedPermutation
 
     def __post_init__(self):
+        # each w(i) = i, or w(i) < 0 and w(-w(i)) = -i: an involution, non-fixed values negative
         w = self.perm
-        if not w.is_involution():
-            raise ValueError(f"{w} is not an involution")
         for i, v in enumerate(w, start=1):
-            if v != i and v > 0:
-                raise ValueError(f"{w} sends {i} to the positive non-fixed value {v}")
+            if v != i and (v > 0 or w[-v - 1] != -i):
+                raise ValueError(f"{w} is not a good involution: w({i}) = {v}")
 
     @property
     def rank(self) -> int:
@@ -108,7 +111,7 @@ class GoodInvolution:
     @property
     def a_neg(self) -> int:
         """Fixed points of -w, i.e. indices with w(i) = -i."""
-        return stat_a(self.perm.negate())
+        return sum(1 for i, v in enumerate(self.perm, start=1) if v == -i)
 
     @property
     def c(self) -> int:
@@ -124,42 +127,39 @@ class GoodInvolution:
         return str(self.perm)
 
 
-def _involutions_of(points: tuple[int, ...]):
-    """All involutions of a finite set of points, as {point: image} dicts."""
-    if not points:
-        yield {}
-        return
-    first, rest = points[0], points[1:]
-    for sub in _involutions_of(rest):
-        yield {first: first, **sub}
-    for idx, partner in enumerate(rest):
-        others = rest[:idx] + rest[idx + 1:]
-        for sub in _involutions_of(others):
-            yield {first: partner, partner: first, **sub}
-
-
 def symmetric_involutions(k: int) -> list[SignedPermutation]:
-    """All involutions of S_k, as sign-positive rank-k windows."""
-    points = tuple(range(1, k + 1))
+    """All involutions of S_k as sign-positive windows, in window order: one
+    backtracking fill pairs the first open position i with each open j >= i in
+    turn (j = i fixes i), so no sort is needed."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    window = [0] * k  # 0 marks an open position
     out = []
-    for pairing in _involutions_of(points):
-        out.append(SignedPermutation((pairing[i] for i in points), check=False))
-    out.sort()
+
+    def fill(i: int):
+        if i == k:
+            out.append(SignedPermutation(window, check=False))
+        elif window[i]:
+            fill(i + 1)
+        else:
+            for j in range(i, k):
+                if not window[j]:
+                    window[i], window[j] = j + 1, i + 1
+                    fill(i + 1)
+                    window[j] = 0
+            window[i] = 0
+
+    fill(0)
     return out
 
 
 def enumerate_good(k: int) -> list[GoodInvolution]:
-    """All of G_k, generated directly: choose the fixed set, then pair up and
-    negate the rest.  Sorted by window."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    points = tuple(range(1, k + 1))
+    """All of G_k, from the involutions s of S_k: -s with any subset of the
+    fixed points of s made positive again.  Sorted by window."""
     out = []
-    for mask in range(1 << k):
-        fixed = {points[i] for i in range(k) if mask >> i & 1}
-        moved = tuple(p for p in points if p not in fixed)
-        for pairing in _involutions_of(moved):
-            window = [i if i in fixed else -pairing[i] for i in points]
+    for s in symmetric_involutions(k):
+        choices = [(v, -v) if v == i else (-v,) for i, v in enumerate(s, start=1)]
+        for window in itertools.product(*choices):
             out.append(GoodInvolution(SignedPermutation(window, check=False)))
     out.sort(key=lambda g: g.perm)
     return out
@@ -241,10 +241,10 @@ class SeparatedSet:
             raise ValueError("members must be strictly increasing")
         if ms and not (0 <= ms[0] and ms[-1] < self.k):
             raise ValueError(f"members out of range 0..{self.k - 1}")
-        for a in ms:
-            for b in ms:
-                if a < b and not 1 < b - a < self.k - 1:
-                    raise ValueError(f"{{{a}, {b}}} violates separation for k = {self.k}")
+        # sorted: the smallest difference is a consecutive gap, the largest the span
+        for a, b in zip(ms, ms[1:]):
+            if b - a < 2 or b - ms[0] > self.k - 2:
+                raise ValueError(f"{self} violates separation for k = {self.k}")
 
     def __len__(self):
         return len(self.members)
@@ -259,15 +259,14 @@ def enumerate_separated(k: int) -> list[SeparatedSet]:
         raise ValueError("k must be >= 1")
     out = [SeparatedSet(k, ())]
 
-    def extend(chosen: tuple[int, ...], nxt: int):
-        for v in range(nxt, k):
-            if any(not 1 < v - u < k - 1 for u in chosen):
-                continue
+    def extend(chosen: tuple[int, ...], start: int, stop: int):
+        # start = last member + 2 keeps gaps above 1; stop keeps the span below k - 1
+        for v in range(start, stop):
             cur = chosen + (v,)
             out.append(SeparatedSet(k, cur))
-            extend(cur, v + 2)
+            extend(cur, v + 2, min(stop, cur[0] + k - 1))
 
-    extend((), 0)
+    extend((), 0, k)
     out.sort(key=lambda s: (len(s.members), s.members))
     return out
 

@@ -158,9 +158,6 @@ class BivarPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # -- queries --------------------------------------------------------------
 
     def terms(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from heckeb import cli
-from heckeb.cli import FK_MAX_K, GOOD_MAX_K, SEP_MAX_K, SQUARE_MAX_K, main
+from heckeb.cli import FK_MAX_K, GOOD_MAX_K, MULT_MAX_RANK, SEP_MAX_K, SQUARE_MAX_K, main
 from heckeb.hecke import HeckeElement, mult, t_of
 from heckeb.poly import BivarPoly
 from heckeb.signedperm import make_w_nk
@@ -60,6 +60,12 @@ class TestSquareW0k:
         _, second, _ = run(capsys, "square-w0k", "--k", "4")
         assert first == second
 
+    def test_streamed_json_equals_one_shot_text(self, capsys):
+        # k = 7 encodes to several batches of encoder chunks
+        _, out, _ = run(capsys, "square-w0k", "--k", "7", "--json")
+        w = make_w_nk(0, 7)
+        assert out == json.dumps(mult(t_of(w), t_of(w)).to_json(), indent=2) + "\n"
+
 
 class TestGoodAndSep:
     def test_good_table(self, capsys):
@@ -110,6 +116,7 @@ class TestInputCaps:
                 (("fk", "--k", str(cap + 1), "--method", method), cap + 1)
                 for method, cap in FK_MAX_K.items()
             ),
+            (("mult", "--rank", str(MULT_MAX_RANK + 1), "--expr", "w0 w0"), MULT_MAX_RANK + 1),
         ],
     )
     def test_over_cap_exits_2(self, capsys, argv, value):

@@ -1,5 +1,7 @@
 """Good involutions, their statistics and recursion, and separated sets."""
 
+import itertools
+
 import pytest
 
 from heckeb.combinat import (
@@ -38,6 +40,21 @@ def good_involutions_filter(k):
     return out
 
 
+def pairwise_separated(k, members):
+    """The definition: every pair differs by strictly between 1 and k - 1."""
+    return all(1 < b - a < k - 1 for a, b in itertools.combinations(members, 2))
+
+
+def separated_filter(k):
+    """Oracle: the separated k-sets among all subsets, sorted by (size, members)."""
+    return [
+        SeparatedSet(k, ms)
+        for size in range(k + 1)
+        for ms in itertools.combinations(range(k), size)
+        if pairwise_separated(k, ms)
+    ]
+
+
 class TestEnumerateGood:
     def test_k1(self):
         assert [str(g) for g in enumerate_good(1)] == ["[-1]", "[1]"]
@@ -45,7 +62,7 @@ class TestEnumerateGood:
     def test_k2_size(self):
         assert len(enumerate_good(2)) == 5
 
-    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_exhaustive_filter(self, k):
         assert enumerate_good(k) == good_involutions_filter(k)
 
@@ -61,6 +78,24 @@ class TestEnumerateGood:
             GoodInvolution(SignedPermutation([2, 1]))  # positive non-fixed value
         with pytest.raises(ValueError):
             GoodInvolution(SignedPermutation([-2, 1]))  # not an involution
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_validation_matches_definition(self, k):
+        # accepted iff an involution with every value fixed or negative
+        for w in all_elements(k):
+            good = w.is_involution() and all(v == i or v < 0 for i, v in enumerate(w, start=1))
+            try:
+                g = GoodInvolution(w)
+            except ValueError:
+                assert not good, w
+            else:
+                assert good, w
+                assert g.a_neg == stat_a(w.negate())
+
+    def test_negative_k_rejected(self):
+        for enumerate_ in (enumerate_good, symmetric_involutions):
+            with pytest.raises(ValueError, match="nonnegative"):
+                enumerate_(-1)
 
 
 class TestStatistics:
@@ -139,6 +174,13 @@ class TestNeat:
         invs = symmetric_involutions(4)
         brute = [w for w in symmetric_group_elements(4) if w.is_involution()]
         assert sorted(invs) == sorted(brute)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_symmetric_involutions_in_window_order(self, k):
+        invs = symmetric_involutions(k)
+        assert all(a < b for a, b in zip(invs, invs[1:]))
+        assert all(w.is_involution() and min(w, default=1) > 0 for w in invs)
+        assert len(invs) == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620][k]
 
 
 class TestSuccPred:
@@ -227,6 +269,21 @@ class TestSeparated:
         # |S| <= k/2 for k >= 2 (k = 1 admits the singleton {0})
         for k in range(2, 13):
             assert all(len(s) <= k // 2 for s in enumerate_separated(k))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_brute_force_filter(self, k):
+        assert enumerate_separated(k) == separated_filter(k)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_validation_matches_pairwise_definition(self, k):
+        for size in range(k + 1):
+            for ms in itertools.combinations(range(k), size):
+                try:
+                    SeparatedSet(k, ms)
+                except ValueError:
+                    assert not pairwise_separated(k, ms), ms
+                else:
+                    assert pairwise_separated(k, ms), ms
 
     def test_validation(self):
         with pytest.raises(ValueError):
