@@ -39,8 +39,8 @@ from .verify import (
 )
 from .words import MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 7 s
-# and 170 MB (16 s and 550 MB with --json; k = 11 has four times as many
+# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 4 s
+# and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 5 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
 # ``good`` about 3 s and 80 MB (k = 11 has four times as many rows); and
@@ -49,7 +49,7 @@ SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 9 s and 230 MB; B_7 has 645,120.
+# ``w0 w0`` at rank 6 takes about 6 s and 175 MB; B_7 has 645,120.
 MULT_MAX_RANK = 6
 
 F_K_METHODS = {

@@ -58,10 +58,11 @@ def stat_d(i: int, w: SignedPermutation) -> int:
 
 def stat_c(w: SignedPermutation) -> int:
     """Number of tidy pairs {i, j}: -w(i) < j and -w(j) < i."""
+    # a tidy pair i < j has -w(j) < i < j and -w(i) < j; count the i for each j
     count = 0
-    for i in range(1, len(w) + 1):
-        for j in range(i + 1, len(w) + 1):
-            if -w[i - 1] < j and -w[j - 1] < i:
+    for j, wj in enumerate(w, start=1):
+        for v in w[max(-wj, 0) : j - 1]:
+            if -v < j:
                 count += 1
     return count
 

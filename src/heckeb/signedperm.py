@@ -135,19 +135,29 @@ class SignedPermutation(tuple):
         return [g for g in range(len(self)) if self.right_descent(g)]
 
     def reduced_word(self) -> "ReducedWord":
-        """A reduced word for w, stripping the smallest-index right descent first."""
+        """A reduced word for w, stripping the smallest-index right descent first.
+
+        Stripping s_g changes only the descents at g - 1, g and g + 1, so the
+        scan for the next smallest descent resumes at g - 1 instead of 0.
+        """
         letters = []
-        w = self
-        while True:
-            for g in range(len(w)):
-                if w.right_descent(g):
-                    letters.append(g)
-                    w = w.apply_right(g)
-                    break
-            else:
-                break
+        w = list(self)
+        m = len(w)
+        g = 0
+        while g < m:
+            if g == 0:
+                if w[0] < 0:
+                    w[0] = -w[0]
+                    letters.append(0)
+                    continue
+            elif w[g - 1] > w[g]:
+                w[g - 1], w[g] = w[g], w[g - 1]
+                letters.append(g)
+                g -= 1
+                continue
+            g += 1
         letters.reverse()
-        return ReducedWord(tuple(letters), len(self))
+        return ReducedWord(tuple(letters), m)
 
     # -- rank changes -------------------------------------------------------
 

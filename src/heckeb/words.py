@@ -241,10 +241,15 @@ def _atom_element(atom, rank: int) -> HeckeElement:
 
 
 def evaluate_word(expr: WordExpression, rank: int) -> HeckeElement:
-    """Evaluate the expression in the Hecke algebra of B_rank."""
-    result = unit(rank)
+    """Evaluate the expression in the Hecke algebra of B_rank.
+
+    The product starts from its first factor rather than from the unit, so
+    n factors (exponents multiplied out) cost n - 1 products; when every
+    exponent is 0 the result is the unit.
+    """
+    result = None
     for factor in expr.factors:
         base = _atom_element(factor.atom, rank)
         for _ in range(factor.exponent):
-            result = mult(result, base)
-    return result
+            result = base if result is None else mult(result, base)
+    return unit(rank) if result is None else result

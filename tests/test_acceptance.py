@@ -75,9 +75,9 @@ def test_criterion_04_slow_rank7():
 @pytest.mark.slow
 def test_criterion_04_slow_rank8_pairs():
     # correctness only: no time bound is set for n+k = 8 yet
-    pairs = [(4, 4), (1, 7)]
+    pairs = [(4, 4), (1, 7), (3, 5), (2, 6)]
     ok = all(V.verify_main(n, k).passed for n, k in pairs)
-    _criterion(4, ok, "main identity at (n,k) = (4,4) and (1,7), opt-in")
+    _criterion(4, ok, "main identity at (n,k) = (4,4), (1,7), (3,5) and (2,6), opt-in")
 
 
 def test_criterion_05_conjugation_expansion():

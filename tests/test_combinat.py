@@ -40,6 +40,16 @@ def good_involutions_filter(k):
     return out
 
 
+def tidy_pairs_oracle(w):
+    """Oracle for stat_c: the scan over all pairs i < j of the definition."""
+    count = 0
+    for i in range(1, len(w) + 1):
+        for j in range(i + 1, len(w) + 1):
+            if -w[i - 1] < j and -w[j - 1] < i:
+                count += 1
+    return count
+
+
 def pairwise_separated(k, members):
     """The definition: every pair differs by strictly between 1 and k - 1."""
     return all(1 < b - a < k - 1 for a, b in itertools.combinations(members, 2))
@@ -115,18 +125,14 @@ class TestStatistics:
             stat_d(-1, identity(4))
 
     def test_c_brute_force(self):
-        def brute_c(w):
-            k = len(w)
-            return sum(
-                1
-                for i in range(1, k + 1)
-                for j in range(i + 1, k + 1)
-                if -w.act(i) < j and -w.act(j) < i
-            )
-
-        for k in (3, 4):
+        for k in range(1, 9):
             for g in enumerate_good(k):
-                assert stat_c(g.perm) == brute_c(g.perm)
+                assert stat_c(g.perm) == tidy_pairs_oracle(g.perm), g
+
+    @pytest.mark.parametrize("rank", range(0, 6))
+    def test_c_matches_pair_scan_on_all_elements(self, rank):
+        for w in all_elements(rank):
+            assert stat_c(w) == tidy_pairs_oracle(w), w
 
     def test_c_extremes(self):
         for k in range(1, 7):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeb import hecke
 from heckeb.hecke import (
     HeckeElement,
     distinguished_factor,
@@ -298,6 +299,18 @@ class TestDistinguishedFactor:
                 assert w.length() == wp.length() + x.length()
                 assert is_distinguished(w, n, k) == (x == w)
 
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_decompose_files_every_element_under_its_factor(self, rank):
+        elements = list(all_elements(rank))
+        h = HeckeElement(rank, {w: BivarPoly(i + 1) for i, w in enumerate(elements)})
+        for n in range(rank + 1):
+            k = rank - n
+            dec = parabolic_decompose(h, n, k)
+            assert sum(len(comp._terms) for comp in dec.components.values()) == len(elements)
+            for i, w in enumerate(elements):
+                wp, x = distinguished_factor(w, n, k)
+                assert dec.components[x].coefficient(wp) == BivarPoly(i + 1), (w, n, k)
+
     def test_parabolic_generator_indices(self):
         assert parabolic_generators(2, 2) == [0, 1, 3]
         assert parabolic_generators(0, 3) == [1, 2]
@@ -506,3 +519,61 @@ class TestKernel:
             for h2 in others:
                 mult(h1, h2)
         assert [h.to_json() for h in others] == before
+
+
+def _shared_product():
+    """A square whose terms share coefficient objects (one per distinct value)."""
+    product = mult(t_of(make_w_nk(0, 4)), t_of(make_w_nk(0, 4)))
+    coeffs = list(product._terms.values())
+    assert len({id(c) for c in coeffs}) < len(coeffs)
+    return product
+
+
+class TestPool:
+    """The hash-consed coefficients inside mult."""
+
+    @pytest.fixture
+    def colliding(self, monkeypatch):
+        # every fingerprint becomes 0, so every pooled coefficient collides
+        monkeypatch.setattr(hecke, "_FP_MODULUS", 1)
+
+    @pytest.mark.parametrize("rank", range(1, 4))
+    def test_colliding_fingerprints_every_basis_pair(self, colliding, rank):
+        pool = list(all_elements(rank))
+        for x in pool:
+            for y in pool:
+                assert mult(t_of(x), t_of(y)) == oracle_mult(t_of(x), t_of(y)), (x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hecke_pairs())
+    def test_colliding_fingerprints_multi_term(self, pair):
+        h1, h2 = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke, "_FP_MODULUS", 1)
+            assert mult(h1, h2) == oracle_mult(h1, h2)
+
+    def test_colliding_fingerprints_large_square(self, colliding):
+        w = make_w_nk(1, 3)
+        assert mult(t_of(w), t_of(w)) == oracle_mult(t_of(w), t_of(w))
+
+    def test_equal_coefficients_share_one_object(self):
+        product = _shared_product()
+        by_value = {}
+        for c in product._terms.values():
+            by_value.setdefault(tuple(sorted(c._terms.items())), set()).add(id(c))
+        assert all(len(ids) == 1 for ids in by_value.values())
+
+    def test_shared_coefficients_are_never_mutated(self):
+        product = _shared_product()
+        before = product.to_json()
+        other = t_of(make_w_nk(0, 4)).scale(ONE + P)
+        product + product
+        product + other
+        product - product
+        product.scale(ONE - Q)
+        product.scale(3)
+        product.map_coefficients(lambda c: c * c)
+        mult(product, other)
+        mult(other, product)
+        mult(product, product)
+        assert product.to_json() == before

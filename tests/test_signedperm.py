@@ -105,7 +105,26 @@ class TestDescents:
                 assert w.right_descent(g) == (w.apply_right(g).length() < w.length())
 
 
+def stripping_word(w):
+    """Oracle for reduced_word: strip the smallest right descent, rescanning from 0."""
+    letters = []
+    while True:
+        for g in range(len(w)):
+            if w.right_descent(g):
+                letters.append(g)
+                w = w.apply_right(g)
+                break
+        else:
+            letters.reverse()
+            return tuple(letters)
+
+
 class TestReducedWord:
+    @pytest.mark.parametrize("rank", range(0, 6))
+    def test_matches_full_rescan_exhaustively(self, rank):
+        for w in all_elements(rank):
+            assert w.reduced_word().letters == stripping_word(w), w
+
     def test_identity_empty(self):
         assert identity(3).reduced_word().letters == ()
 
