@@ -14,20 +14,15 @@ from .combinat import (
     enumerate_good,
     enumerate_separated,
     neat_count,
-    pred,
-    shift_separated,
     stat_a,
     stat_c,
     stat_d,
-    succ,
 )
 from .hecke import (
     HeckeElement,
     ParabolicDecomposition,
     distinguished_factor,
     mult,
-    mult_simple_left,
-    mult_simple_right,
     parabolic_decompose,
     t_of,
     trivial_quotient,
@@ -97,19 +92,14 @@ __all__ = [
     "make_cycle",
     "make_w_nk",
     "mult",
-    "mult_simple_left",
-    "mult_simple_right",
     "neat_count",
     "parabolic_decompose",
     "parse_word",
-    "pred",
     "reduce_mod_cyclotomic",
     "run_suite",
-    "shift_separated",
     "stat_a",
     "stat_c",
     "stat_d",
-    "succ",
     "t_of",
     "trivial_quotient",
     "unit",

@@ -9,7 +9,8 @@ G_k is enumerated through its bijection with the pairs (s, F) of an involution
 s of S_k and a subset F of the fixed points of s: w = -s with F made positive.
 
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
-x missing one letter), which realizes the successor/predecessor recursion.
+x missing one letter); ``conjugator`` and ``conjugator_omit`` give these
+elements, and the verifier checks the conjugation expansion they drive.
 
 Separated k-sets are the subsets of {0, ..., k-1} whose pairwise differences
 lie strictly between 1 and k-1; they index a closed form for the polynomials
@@ -35,11 +36,8 @@ __all__ = [
     "symmetric_involutions",
     "conjugator",
     "conjugator_omit",
-    "succ",
-    "pred",
     "enumerate_separated",
     "count_separated",
-    "shift_separated",
     "binomial_sum",
 ]
 
@@ -139,7 +137,7 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
 
     def fill(i: int):
         if i == k:
-            out.append(SignedPermutation(window, check=False))
+            out.append(tuple.__new__(SignedPermutation, window))
         elif window[i]:
             fill(i + 1)
         else:
@@ -161,7 +159,7 @@ def enumerate_good(k: int) -> list[GoodInvolution]:
     for s in symmetric_involutions(k):
         choices = [(v, -v) if v == i else (-v,) for i, v in enumerate(s, start=1)]
         for window in itertools.product(*choices):
-            out.append(GoodInvolution(SignedPermutation(window, check=False)))
+            out.append(GoodInvolution(tuple.__new__(SignedPermutation, window)))
     out.sort(key=lambda g: g.perm)
     return out
 
@@ -185,44 +183,6 @@ def conjugator_omit(i: int, k: int) -> SignedPermutation:
         if j != i:
             w = w.apply_right(j)
     return w
-
-
-def succ(g: GoodInvolution) -> list[GoodInvolution]:
-    """The 2 + a(w) successors of w in G_{k+1}, sorted by window."""
-    k = g.rank
-    x = conjugator(k)
-    x_inv = x.inverse()
-    w1 = g.perm.embed(k + 1)
-    base = x * w1 * x_inv
-    out = [GoodInvolution(base), GoodInvolution(base * generator(0, k + 1))]
-    for i in range(1, k + 1):
-        if g.perm[i - 1] == i:
-            out.append(GoodInvolution(x * w1 * conjugator_omit(i, k).inverse()))
-    out.sort(key=lambda s: s.perm)
-    return out
-
-
-def pred(g: GoodInvolution) -> GoodInvolution:
-    """The unique element of G_k whose successor set contains g in G_{k+1}.
-
-    The case split is on g(1): fixed, negated, or sent to -(i+1).
-    """
-    kp1 = g.rank
-    if kp1 < 1:
-        raise ValueError("rank-0 element has no predecessor")
-    k = kp1 - 1
-    x = conjugator(k)
-    v = g.perm[0]
-    if v == 1:
-        result = x.inverse() * g.perm * x
-    elif v == -1:
-        result = x.inverse() * (g.perm * generator(0, kp1)) * x
-    else:
-        i = -v - 1
-        if not 1 <= i <= k:
-            raise ValueError(f"invalid first entry {v} for a good involution")
-        result = x.inverse() * g.perm * conjugator_omit(i, k)
-    return GoodInvolution(result.restrict(k))
 
 
 # -- separated sets ---------------------------------------------------------------
@@ -287,12 +247,6 @@ def count_separated(k: int, i: int) -> int:
     if k < 1 or i < 0:
         raise ValueError("need k >= 1 and i >= 0")
     return _binom(k - i, i) + _binom(k - i - 1, i - 1)
-
-
-def shift_separated(s: SeparatedSet, r: int) -> SeparatedSet:
-    """Cyclic shift of every member by r modulo k; a bijection of Sep_k."""
-    members = tuple(sorted((v + r) % s.k for v in s.members))
-    return SeparatedSet(s.k, members)
 
 
 def binomial_sum(k: int, i: int) -> int:

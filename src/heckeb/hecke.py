@@ -7,48 +7,44 @@ every T_{s_i} carries q, and the defining relation is
 
 Products are computed by expanding the right factor basis element by basis
 element along a reduced word and folding single-generator multiplications
-into the left factor, so no multiplication tables are ever materialized.
-Left multiplication by a generator goes through the anti-automorphism
-iota: T_w -> T_{w^-1}, as T_g h = iota(iota(h) T_g), so the right fold is the
-only multiplication kernel.  Inverses of basis elements are never formed;
-coefficients stay polynomial.
+into the left factor, so no multiplication tables are ever materialized and
+the right fold is the only multiplication kernel.  Inverses of basis
+elements are never formed; coefficients stay polynomial.
 
 Kernel representation.  Inside one call of ``mult`` windows are ints and
-coefficients are ids into a pool of hash-consed int-keyed dicts (Filliatre &
-Conchon, "Type-safe modular hash-consing", 2006); the result is decoded to
-windows and BivarPoly once, at the end:
+coefficients are ids into a pool of hash-consed BivarPoly term dicts
+(Filliatre & Conchon, "Type-safe modular hash-consing", 2006); the windows
+are decoded once, at the end:
 
 - A window is one int with a field of width (2*rank).bit_length() per
   position, holding w(i) + rank, so field order is value order.  s_i swaps
   two fields, t reflects field 0, and a right descent is one field
   comparison.
-- A monomial p^a q^b is the int a*S + b, so a shift by q adds 1, a shift by
-  p adds S, and multiplying monomials adds keys.  A coefficient is a
-  {monomial: int} dict, and the pool gives each distinct dict one id; id 0
-  is zero.  Pooled dicts are never changed.
+- A coefficient is a BivarPoly term dict {(pe, qe): int}, pooled as it is,
+  with no copy.  The pool gives each distinct dict one id; id 0 is zero.
+  Pooled dicts are never changed.  Sums, splits and products run poly's raw
+  term-dict helpers, the same loops as BivarPoly's own arithmetic.
 - The fold maps windows to ids.  A move keeps its id.  A descent looks up a
   per-shift memo id -> (id of (1 - param)*c, id of param*c), a merge looks
   up a memo (a, b) -> id of a + b, and the left-times-right coefficient
   products are memoised the same way; a unit right coefficient keeps the
   left id.  So the per-monomial work runs once per distinct operation, not
   once per term and letter, and only a memo miss calls into the pool.
-- Fingerprints.  Each pooled dict has a fingerprint: its value at q = X,
-  p = X^S modulo the prime 2^61 - 1.  That is a ring homomorphism, so the
-  fingerprint of a sum, a product or a split follows from its inputs' in
-  O(1); only the factors' coefficients are hashed monomial by monomial.  A
-  dict's id is its fingerprint, or the fingerprint plus the first multiple
-  of the modulus whose slot is free or holds an equal dict: a fingerprint
-  hit is always confirmed by comparing the dicts, a collision between
-  unequal dicts gets a fresh id, and the output stays exact.
+- Fingerprints.  Each pooled dict has a fingerprint: its value at p = X_p,
+  q = X_q, two fixed bases, modulo the prime 2^61 - 1.  That is a ring
+  homomorphism, so the fingerprint of a sum, a product or a split follows
+  from its inputs' in O(1); only the factors' coefficients are fingerprinted
+  monomial by monomial, through a table kept across calls.  A dict's id is
+  its fingerprint, or the fingerprint plus the first multiple of the modulus
+  whose slot is free or holds an equal dict: a fingerprint hit is always
+  confirmed by comparing the dicts, a collision between unequal dicts gets a
+  fresh id, and the output stays exact.
+- Shared monomials.  A split shifts each monomial through a table
+  monomial -> monomial * param kept across calls, so every pooled dict that
+  holds a given shifted monomial holds the same tuple.
 - Decoding.  Each window is decoded per term; each id becomes one BivarPoly
-  shared by every term that carries it, and each distinct monomial one
-  (pe, qe) tuple.  BivarPoly is never changed in place, so sharing is safe.
-
-Stride guard.  S = qdeg(h1) + qdeg(h2) + max len(w2) + 1, computed per call.
-The product of two coefficients has q-degree at most qdeg(h1) + qdeg(h2),
-and each folded letter raises it by at most one, so every q-exponent met
-stays below S and never carries into the p-part, which lives in the
-unbounded high digits of the key.
+  around its pooled dict, shared by every term that carries it.  BivarPoly is
+  never changed in place, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -56,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .poly import BivarPoly, ONE
-from .signedperm import SignedPermutation, generator, identity, make_w_nk
+from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw, _mul_raw
+from .signedperm import SignedPermutation, identity, make_w_nk
 
 __all__ = [
     "HeckeElement",
@@ -65,8 +61,6 @@ __all__ = [
     "t_of",
     "unit",
     "mult",
-    "mult_simple_right",
-    "mult_simple_left",
     "distinguished_factor",
     "parabolic_decompose",
     "trivial_quotient",
@@ -225,18 +219,27 @@ def t_of(w: SignedPermutation) -> HeckeElement:
     return HeckeElement._raw(len(w), {w: ONE})
 
 
-# -- the multiplication kernel (int keys, pooled coefficients; see above) ------
+# -- the multiplication kernel (int windows, pooled coefficients; see above) ---
 
-# The fingerprint of a pooled coefficient is its value at q = _FP_BASE,
-# p = _FP_BASE^stride modulo the prime _FP_MODULUS (read at every mult call).
+# The fingerprint of a pooled coefficient is its value at p = _FP_P, q = _FP_Q
+# modulo the prime _FP_MODULUS (read at every mult call).
 _FP_MODULUS = (1 << 61) - 1
-_FP_BASE = 0x2545F4914F6CDD1D
+_FP_P = 0x2545F4914F6CDD1D
+_FP_Q = 0x9E3779B97F4A7C15
+
+# Tables kept across mult calls.  _FINGERPRINTS holds one table
+# {monomial: fingerprint}, under the modulus it was built for; a call under
+# another modulus replaces it.  _TIMES_P and _TIMES_Q map a monomial to
+# monomial * p and monomial * q, so splits share the shifted tuples.
+_FINGERPRINTS: dict = {}
+_TIMES_P: dict = {}
+_TIMES_Q: dict = {}
 
 
 class _Pool:
-    """The hash-consed int-keyed coefficients of one ``mult`` call.
+    """The hash-consed coefficient term dicts of one ``mult`` call.
 
-    ``dicts`` maps each id to its {monomial: int} dict.  A dict's id is its
+    ``dicts`` maps each id to a BivarPoly term dict.  A dict's id is its
     fingerprint fp, or fp + j*mod for the first j whose slot is free or holds
     an equal dict, so every id is congruent to its fingerprint modulo
     ``mod`` and a fingerprint hit is always confirmed by ==.  Id 0 is zero.
@@ -246,22 +249,25 @@ class _Pool:
     """
 
     __slots__ = (
-        "dicts", "mod", "base", "stride", "powers", "one",
+        "dicts", "mod", "fingerprints", "fp_p", "fp_q", "one",
         "sums", "products", "split_p", "split_q",
     )
 
-    def __init__(self, stride: int):
+    def __init__(self):
         mod = _FP_MODULUS
         self.mod = mod
-        self.base = _FP_BASE % mod
-        self.stride = stride
+        self.fingerprints = _FINGERPRINTS.get(mod)
+        if self.fingerprints is None:
+            _FINGERPRINTS.clear()
+            self.fingerprints = _FINGERPRINTS[mod] = {}
+        self.fp_p = _FP_P % mod
+        self.fp_q = _FP_Q % mod
         self.dicts = {0: {}}
-        self.powers: dict = {}
         self.sums: dict = {}
         self.products: dict = {}
         self.split_p: dict = {}
         self.split_q: dict = {}
-        self.one = self.intern({0: 1}, 1 % mod)
+        self.one = self.encode(ONE._terms)
 
     def intern(self, d: dict, fp: int) -> int:
         """The id of d, whose fingerprint is fp."""
@@ -278,20 +284,17 @@ class _Pool:
             fp += self.mod
 
     def encode(self, terms: dict) -> int:
-        """The id of a BivarPoly term dict; the one place monomials are hashed."""
-        if len(terms) == 1 and terms.get((0, 0)) == 1:
-            return self.one
-        stride, powers, base, mod = self.stride, self.powers, self.base, self.mod
-        d = {}
+        """The id of a BivarPoly term dict, pooled as it is; the one place
+        monomials are fingerprinted."""
+        fingerprints, mod = self.fingerprints, self.mod
         fp = 0
-        for (pe, qe), v in terms.items():
-            key = pe * stride + qe
-            d[key] = v
-            x = powers.get(key)
+        for m, v in terms.items():
+            x = fingerprints.get(m)
             if x is None:
-                x = powers[key] = pow(base, key, mod)
+                pe, qe = m
+                x = fingerprints[m] = pow(self.fp_p, pe, mod) * pow(self.fp_q, qe, mod) % mod
             fp += v * x
-        return self.intern(d, fp % mod)
+        return self.intern(terms, fp % mod)
 
     def add(self, a: int, b: int) -> int:
         """The id of dicts[a] + dicts[b], memoised under (a, b)."""
@@ -299,51 +302,33 @@ class _Pool:
         if len(x) < len(y):
             x, y = y, x
         d = dict(x)
-        for key, v in y.items():
-            nv = d.get(key, 0) + v
-            if nv:
-                d[key] = nv
-            else:
-                del d[key]
+        _iadd_raw(d, y)
         s = self.sums[a, b] = self.intern(d, (a + b) % self.mod)
         return s
 
     def mul(self, a: int, b: int) -> int:
         """The id of dicts[a] * dicts[b], memoised under (a, b)."""
-        x, y = self.dicts[a], self.dicts[b]
-        if len(x) < len(y):
-            x, y = y, x
-        if len(y) == 1:  # a monomial factor shifts keys; no two products meet
-            ((kb, vb),) = y.items()
-            out = {ka + kb: va * vb for ka, va in x.items()}
-        else:
-            out = {}
-            for ka, va in x.items():
-                for kb, vb in y.items():
-                    key = ka + kb
-                    nv = out.get(key, 0) + va * vb
-                    if nv:
-                        out[key] = nv
-                    else:
-                        del out[key]
+        out = _mul_raw(self.dicts[a], self.dicts[b])
         s = self.products[a, b] = self.intern(out, a * b % self.mod)
         return s
 
     def split(self, c: int, p: bool) -> tuple:
         """The ids of (1 - param) * dicts[c] and param * dicts[c], memoised under c."""
-        shift, memo = (self.stride, self.split_p) if p else (1, self.split_q)
-        fx = self.powers.get(shift)  # the fingerprint of param
-        if fx is None:
-            fx = self.powers[shift] = pow(self.base, shift, self.mod)
+        if p:
+            times, memo, fx = _TIMES_P, self.split_p, self.fp_p
+        else:
+            times, memo, fx = _TIMES_Q, self.split_q, self.fp_q
         src = self.dicts[c]
-        moved = {key + shift: v for key, v in src.items()}
+        try:
+            moved = {times[m]: v for m, v in src.items()}
+        except KeyError:
+            for m in src:
+                if m not in times:
+                    pe, qe = m
+                    times[m] = (pe + 1, qe) if p else (pe, qe + 1)
+            moved = {times[m]: v for m, v in src.items()}
         rest = dict(src)
-        for key, v in moved.items():
-            nv = rest.get(key, 0) - v
-            if nv:
-                rest[key] = nv
-            else:
-                del rest[key]
+        _isub_raw(rest, moved)
         mod = self.mod
         fm = c * fx % mod
         pair = memo[c] = (self.intern(rest, (c - fm) % mod), self.intern(moved, fm))
@@ -410,34 +395,13 @@ def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
     return out
 
 
-def mult_simple_right(h: HeckeElement, g: int) -> HeckeElement:
-    """h * T_g for a single generator index g."""
-    if not 0 <= g < h.rank:
-        raise ValueError(f"generator index {g} invalid for rank {h.rank}")
-    return mult(h, t_of(generator(g, h.rank)))
-
-
-def mult_simple_left(g: int, h: HeckeElement) -> HeckeElement:
-    """T_g * h, computed as iota(iota(h) * T_g) with iota: T_w -> T_{w^-1}."""
-    return _iota(mult_simple_right(_iota(h), g))
-
-
-def _iota(h: HeckeElement) -> HeckeElement:
-    """The anti-automorphism T_w -> T_{w^-1}; it fixes coefficients."""
-    return HeckeElement._raw(h.rank, {w.inverse(): c for w, c in h._terms.items()})
-
-
-def _q_degree(h: HeckeElement) -> int:
-    return max((qe for c in h._terms.values() for _, qe in c._terms), default=0)
-
-
 def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra.
 
     Expands each basis element of h2 along a reduced word and folds the
     generators into h1; well-definedness over the choice of word is a
     consequence of the braid relations (and is exercised by the tests).
-    The fold runs on int keys and pooled coefficient ids, as described in
+    The fold runs on int windows and pooled coefficient ids, as described in
     the module docstring; neither factor is changed.
     """
     h1._check_rank(h2)
@@ -445,10 +409,9 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     if not h1._terms or not h2._terms:
         return HeckeElement._raw(rank, {})
     words = [(w2.reduced_word().letters, c2) for w2, c2 in h2._terms.items()]
-    stride = _q_degree(h1) + _q_degree(h2) + max(len(word) for word, _ in words) + 1
     width = (2 * rank).bit_length()
     shifts = [i * width for i in range(rank)]
-    pool = _Pool(stride)
+    pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; the factors keep the objects alive
 
     def encode(c: BivarPoly) -> int:
@@ -494,23 +457,15 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
                     del acc[w]
 
     # Decode each window per term and each coefficient id once: every term
-    # with the same id shares one BivarPoly, and each distinct monomial one
-    # (pe, qe) tuple.
+    # with the same id shares one BivarPoly around the pooled dict.
     mask = (1 << width) - 1
     dicts = pool.dicts
-    exponents: dict = {}
     polys: dict = {}
     out = {}
     for w, c in acc.items():
         poly = polys.get(c)
         if poly is None:
-            terms = {}
-            for key, v in dicts[c].items():
-                pq = exponents.get(key)
-                if pq is None:
-                    pq = exponents[key] = divmod(key, stride)
-                terms[pq] = v
-            poly = polys[c] = BivarPoly._raw(terms)
+            poly = polys[c] = BivarPoly._raw(dicts[c])
         window = windows.get(w)  # the left factor's windows are already decoded
         if window is None:
             window = tuple.__new__(SignedPermutation, [(w >> s & mask) - rank for s in shifts])
@@ -643,7 +598,7 @@ def trivial_quotient(h: HeckeElement, n: int, k: int) -> HeckeElement:
             w[i] <= n for i in range(n, n + k)
         ):
             raise ValueError(f"support element {w} is not in B_{n} x S_{k}")
-        u = SignedPermutation(w[:n], check=False)
+        u = tuple.__new__(SignedPermutation, w[:n])
         s = out.get(u)
         s = c if s is None else s + c
         if s:

@@ -2,9 +2,11 @@
 
 Polynomials are sparse maps (p-exponent, q-exponent) -> integer with no
 stored zeros.  Coefficients are Python ints, so every operation is exact at
-arbitrary precision.  Specializing q at a primitive k-th root of unity is
-done symbolically, by reducing modulo the k-th cyclotomic polynomial;
-floating-point roots never appear.
+arbitrary precision.  A polynomial's term dict is never changed in place, so
+dicts may be shared: the Hecke multiplication kernel pools these same dicts
+and runs the same raw helpers on them.  Specializing q at a primitive k-th
+root of unity is done symbolically, by reducing modulo the k-th cyclotomic
+polynomial; floating-point roots never appear.
 
 Printing and JSON use graded-lex term order: ascending total degree, then
 ascending p-exponent.
@@ -30,28 +32,41 @@ __all__ = [
 # -- raw term-dict helpers (shared with the Hecke multiplication kernel) -----
 
 def _iadd_raw(dst: dict, src: dict) -> None:
-    """dst += src in place, pruning zero entries."""
+    """dst += src in place, pruning zero entries; src holds no zeros."""
     for key, v in src.items():
         nv = dst.get(key, 0) + v
         if nv:
             dst[key] = nv
         else:
-            dst.pop(key, None)
+            del dst[key]
 
 
 def _isub_raw(dst: dict, src: dict) -> None:
+    """dst -= src in place, pruning zero entries; src holds no zeros."""
     for key, v in src.items():
         nv = dst.get(key, 0) - v
         if nv:
             dst[key] = nv
         else:
-            dst.pop(key, None)
+            del dst[key]
 
 
 def _mul_raw(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (pa, qa), ca in a.items():
-        for (pb, qb), cb in b.items():
+    """The term dict of a * b; neither input is changed.
+
+    The first term of the shorter factor shifts every key of the longer one,
+    so that row is built in one pass with no collisions; a monomial factor
+    needs nothing more.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return {}
+    rows = iter(b.items())
+    (pb, qb), cb = next(rows)
+    out = {(pa + pb, qa + qb): ca * cb for (pa, qa), ca in a.items()}
+    for (pb, qb), cb in rows:
+        for (pa, qa), ca in a.items():
             key = (pa + pb, qa + qb)
             nv = out.get(key, 0) + ca * cb
             if nv:

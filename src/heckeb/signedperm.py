@@ -44,17 +44,16 @@ class SignedPermutation(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, window, check: bool = True):
+    def __new__(cls, window):
         self = tuple.__new__(cls, window)
-        if check:
-            m = len(self)
-            seen = set()
-            for v in self:
-                if not isinstance(v, int) or v == 0 or abs(v) > m:
-                    raise ValueError(f"invalid window entry {v!r} for rank {m}")
-                seen.add(abs(v))
-            if len(seen) != m:
-                raise ValueError(f"window {list(self)} is not a signed permutation")
+        m = len(self)
+        seen = set()
+        for v in self:
+            if not isinstance(v, int) or v == 0 or abs(v) > m:
+                raise ValueError(f"invalid window entry {v!r} for rank {m}")
+            seen.add(abs(v))
+        if len(seen) != m:
+            raise ValueError(f"window {list(self)} is not a signed permutation")
         return self
 
     @property

@@ -11,17 +11,17 @@ from collections import deque
 
 import pytest
 
-from heckeb.combinat import enumerate_good, succ
+from heckeb.combinat import enumerate_good
 from heckeb.hecke import (
     HeckeElement,
     mult,
-    mult_simple_right,
     t_of,
-    unit,
 )
 from heckeb.poly import ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
-from heckeb.signedperm import SignedPermutation, all_elements, identity
+from heckeb.signedperm import SignedPermutation, all_elements, generator, identity
 from heckeb import verify as V
+
+from combinat_helpers import succ
 
 
 def _criterion(num, ok, description):
@@ -114,7 +114,6 @@ def test_criterion_09_succ_partition_and_transport():
         ok = ok and len(image) == len(set(image))
         ok = ok and sorted(image) == [s.perm for s in enumerate_good(k + 1)]
     from heckeb.combinat import conjugator
-    from heckeb.signedperm import generator
 
     for k in range(1, 7):
         x = conjugator(k)
@@ -194,7 +193,7 @@ def test_criterion_10_oracle_suites():
         for word in words:
             h = probe
             for g in word:
-                h = mult_simple_right(h, g)
+                h = mult(h, t_of(generator(g, 4)))
             results.append(h)
         ok = ok and all(r == results[0] for r in results)
     _criterion(10, ok, "BFS lengths on B_4; p=q=1 degeneration on B_3; word independence on B_4")

@@ -13,12 +13,9 @@ from heckeb.combinat import (
     enumerate_good,
     enumerate_separated,
     neat_count,
-    pred,
-    shift_separated,
     stat_a,
     stat_c,
     stat_d,
-    succ,
     symmetric_involutions,
 )
 from heckeb.signedperm import (
@@ -27,6 +24,8 @@ from heckeb.signedperm import (
     identity,
     symmetric_group_elements,
 )
+
+from combinat_helpers import pred, shift_separated, succ
 
 
 def good_involutions_filter(k):

@@ -12,8 +12,6 @@ from heckeb.hecke import (
     distinguished_factor,
     is_distinguished,
     mult,
-    mult_simple_left,
-    mult_simple_right,
     parabolic_decompose,
     t_of,
     trivial_quotient,
@@ -139,29 +137,20 @@ class TestBasics:
 
     def test_s1_squared(self):
         s1 = generator(1, 2)
-        assert mult_simple_right(t_of(s1), 1) == HeckeElement(
+        assert mult(t_of(s1), t_of(s1)) == HeckeElement(
             2, {identity(2): Q, s1: ONE - Q}
         )
 
     def test_unit_times_generator(self):
-        assert mult_simple_right(unit(2), 1) == t_of(generator(1, 2))
-        assert mult_simple_left(1, unit(2)) == t_of(generator(1, 2))
+        s1 = t_of(generator(1, 2))
+        assert mult(unit(2), s1) == s1
+        assert mult(s1, unit(2)) == s1
 
     def test_left_mirror(self):
         t = generator(0, 2)
-        assert mult_simple_left(0, t_of(t)) == HeckeElement(
+        assert mult(t_of(t), t_of(t)) == HeckeElement(
             2, {identity(2): P, t: ONE - P}
         )
-
-    def test_left_agrees_with_general_product(self):
-        rng = random.Random(41)
-        for rank in range(1, 5):
-            for _ in range(5):
-                h = random_element(rank, rng, n_terms=min(3, 2**rank))
-                for g in range(rank):
-                    assert mult_simple_left(g, h) == mult(
-                        t_of(generator(g, rank)), h
-                    )
 
     @pytest.mark.parametrize("rank", range(1, 7))
     def test_quadratic_relations_all_generators(self, rank):
@@ -187,7 +176,7 @@ class TestBasics:
         with pytest.raises(ValueError):
             mult(unit(2), unit(3))
         with pytest.raises(ValueError):
-            mult_simple_right(unit(2), 2)
+            mult(unit(2), t_of(generator(2, 2)))
 
 
 class TestWellDefined:
@@ -196,9 +185,9 @@ class TestWellDefined:
         w0 = identity(2).negate()
         first, second = unit(2), unit(2)
         for g in (0, 1, 0, 1):
-            first = mult_simple_right(first, g)
+            first = mult(first, t_of(generator(g, 2)))
         for g in (1, 0, 1, 0):
-            second = mult_simple_right(second, g)
+            second = mult(second, t_of(generator(g, 2)))
         assert first == second == t_of(w0)
 
     def test_left_fold_of_reversed_word_squares(self):
@@ -206,7 +195,7 @@ class TestWellDefined:
         word = w.reduced_word().letters
         h = t_of(w)
         for g in reversed(word):
-            h = mult_simple_left(g, h)
+            h = mult(t_of(generator(g, 2)), h)
         assert h == mult(t_of(w), t_of(w))
 
     def test_fold_agreement_on_probe_b3(self):
@@ -231,7 +220,7 @@ class TestWellDefined:
                     v = v.apply_right(letters[-1])
                 # letters strip w from the right, so the word is reversed(letters)
                 for g in reversed(letters):
-                    h = mult_simple_right(h, g)
+                    h = mult(h, t_of(generator(g, 3)))
                 results.append(h)
             assert results[0] == results[1], w
 
@@ -577,3 +566,17 @@ class TestPool:
         mult(other, product)
         mult(product, product)
         assert product.to_json() == before
+
+    def test_fingerprint_table_follows_the_modulus(self):
+        w = make_w_nk(0, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke, "_FP_MODULUS", 1)
+            mult(t_of(w), t_of(w))
+        square = mult(t_of(w), t_of(w))
+        mod = hecke._FP_MODULUS
+        assert list(hecke._FINGERPRINTS) == [mod]
+        table = hecke._FINGERPRINTS[mod]
+        assert table
+        for (pe, qe), fp in table.items():
+            assert fp == pow(hecke._FP_P, pe, mod) * pow(hecke._FP_Q, qe, mod) % mod
+        assert square == oracle_mult(t_of(w), t_of(w))

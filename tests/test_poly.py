@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeb.poly import (
@@ -12,6 +12,7 @@ from heckeb.poly import (
     P,
     Q,
     ZERO,
+    _mul_raw,
     cyclotomic,
     reduce_mod_cyclotomic,
 )
@@ -28,6 +29,50 @@ def polys(max_exp=6, max_coeff=50):
     return st.lists(term, max_size=8).map(
         lambda ts: BivarPoly({(a, b): c for a, b, c in ts if c})
     )
+
+
+def double_loop_product(a, b):
+    """Oracle for _mul_raw: every pair of terms, summed, zeros dropped."""
+    out = {}
+    for (pa, qa), ca in a.items():
+        for (pb, qb), cb in b.items():
+            key = (pa + pb, qa + qb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+# Raw term dicts; unlike BivarPoly they may hold negative exponents.
+raw_monomials = st.tuples(st.integers(-3, 4), st.integers(-3, 4))
+raw_coefficients = st.integers(-30, 30).filter(bool)
+raw_terms = st.dictionaries(raw_monomials, raw_coefficients, max_size=8)
+raw_one_term = st.dictionaries(raw_monomials, raw_coefficients, min_size=1, max_size=1)
+one_term_polys = st.tuples(
+    st.integers(0, 6), st.integers(0, 6), raw_coefficients
+).map(lambda t: BivarPoly.monomial(t[2], t[0], t[1]))
+
+
+class TestMulRaw:
+    """The monomial-row path of _mul_raw against the double loop."""
+
+    @given(raw_terms, raw_one_term)
+    @example({(0, 0): 2, (-1, 3): -1}, {(0, 0): -1})
+    @example({}, {(-2, 0): 5})
+    def test_one_term_factor_on_either_side(self, a, m):
+        before = (dict(a), dict(m))
+        assert _mul_raw(a, m) == double_loop_product(a, m)
+        assert _mul_raw(m, a) == double_loop_product(m, a)
+        assert (a, m) == before
+
+    @given(raw_terms, raw_terms)
+    def test_general_products(self, a, b):
+        assert _mul_raw(a, b) == double_loop_product(a, b)
+
+    @given(polys(), one_term_polys)
+    @example(F2, ONE)
+    @example(F2, -ONE)
+    def test_bivarpoly_monomial_products(self, a, m):
+        assert (a * m)._terms == double_loop_product(a._terms, m._terms)
+        assert (m * a)._terms == double_loop_product(m._terms, a._terms)
 
 
 class TestRingAxioms:
