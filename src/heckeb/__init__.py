@@ -40,9 +40,7 @@ from .poly import (
     reduce_mod_cyclotomic,
 )
 from .signedperm import (
-    ReducedWord,
     SignedPermutation,
-    coset_membership,
     generator,
     identity,
     make_cycle,
@@ -68,7 +66,6 @@ __all__ = [
     "P",
     "ParabolicDecomposition",
     "Q",
-    "ReducedWord",
     "SeparatedSet",
     "SignedPermutation",
     "VerificationReport",
@@ -76,7 +73,6 @@ __all__ = [
     "ZERO",
     "binomial_sum",
     "closed_form_w0k_square",
-    "coset_membership",
     "count_separated",
     "cyclotomic",
     "distinguished_factor",

@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 ``verify`` selection with no checks in it, and input over a cap:
 ``square-w0k --k`` above SQUARE_MAX_K, ``fk --k`` above FK_MAX_K[method],
 ``good --k`` above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, ``mult --rank``
-above MULT_MAX_RANK, or a ``mult`` exponent above words.MAX_EXPONENT).  The
-rank cap bounds the support of a product (at most |B_6| terms), not its time.
+above MULT_MAX_RANK, a ``mult`` exponent, or product of nested exponents,
+above words.MAX_EXPONENT, or ``mult`` groups nested deeper than
+words.MAX_DEPTH).  The rank cap bounds the support of a product (at most
+|B_6| terms), not its time.
 All output goes to stdout; diagnostics go to stderr.
 """
 
@@ -37,7 +39,7 @@ from .verify import (
     good_involution_weights,
     run_suite,
 )
-from .words import MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
+from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
 # Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 4 s
 # and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
@@ -233,7 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"at most {MULT_MAX_RANK}; the cap bounds the support size, not the time",
     )
     p.add_argument(
-        "--expr", required=True, help=f"word expression; exponents at most {MAX_EXPONENT}"
+        "--expr",
+        required=True,
+        help=f"word expression; each exponent times the exponents of the groups around it "
+        f"at most {MAX_EXPONENT} (nested groups within the cap can still be slow); "
+        f"groups nested at most {MAX_DEPTH} deep",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mult)

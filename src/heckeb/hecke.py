@@ -408,7 +408,7 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     rank = h1.rank
     if not h1._terms or not h2._terms:
         return HeckeElement._raw(rank, {})
-    words = [(w2.reduced_word().letters, c2) for w2, c2 in h2._terms.items()]
+    words = [(w2.reduced_word(), c2) for w2, c2 in h2._terms.items()]
     width = (2 * rank).bit_length()
     shifts = [i * width for i in range(rank)]
     pool = _Pool()
@@ -588,15 +588,17 @@ def trivial_quotient(h: HeckeElement, n: int, k: int) -> HeckeElement:
 
     Every support element must factor as u * v with u in B_n and v in S_k
     (the factors commute); the S_k part acts through the trivial character,
-    leaving an element of the Hecke algebra of B_n.
+    leaving an element of the Hecke algebra of B_n.  Membership is the
+    closed form of ``_coset_form``: w lies in B_n x S_k exactly when its
+    pattern is (0,)*n + (1,)*k, the pattern of the identity.
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
+    classify = _pattern_classes(n, k).__getitem__
+    parabolic = (0,) * n + (1,) * k
     out: dict[SignedPermutation, BivarPoly] = {}
     for w, c in h._terms.items():
-        if any(abs(w[i]) > n for i in range(n)) or any(
-            w[i] <= n for i in range(n, n + k)
-        ):
+        if tuple(map(classify, w)) != parabolic:
             raise ValueError(f"support element {w} is not in B_{n} x S_{k}")
         u = tuple.__new__(SignedPermutation, w[:n])
         s = out.get(u)

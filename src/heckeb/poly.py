@@ -179,19 +179,8 @@ class BivarPoly:
         """Terms ((p_exp, q_exp), coeff) in graded-lex order."""
         return sorted(self._terms.items(), key=_term_order)
 
-    def q_degree(self) -> int:
-        return max((qe for _, qe in self._terms), default=-1)
-
     def coefficient(self, p_exp: int, q_exp: int) -> int:
         return self._terms.get((p_exp, q_exp), 0)
-
-    def p_coefficients(self) -> list["BivarPoly"]:
-        """Coefficients of p^0, p^1, ..., p^maxdeg as polynomials in q."""
-        top = max((pe for pe, _ in self._terms), default=-1)
-        rows: list[dict] = [{} for _ in range(top + 1)]
-        for (pe, qe), c in self._terms.items():
-            rows[pe][(0, qe)] = c
-        return [BivarPoly._raw(r) for r in rows]
 
     def specialize(self, p_val: int, q_val: int) -> int:
         """Exact evaluation at integer parameter values."""

@@ -13,16 +13,13 @@ an element into a larger group (appending fixed points) before multiplying.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 __all__ = [
     "SignedPermutation",
-    "ReducedWord",
     "identity",
     "generator",
     "make_w_nk",
     "make_cycle",
-    "coset_membership",
     "all_elements",
     "symmetric_group_elements",
     "parabolic_elements",
@@ -85,14 +82,8 @@ class SignedPermutation(tuple):
                 win[-v - 1] = -i
         return tuple.__new__(SignedPermutation, win)
 
-    def __invert__(self):
-        return self.inverse()
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self, start=1))
-
-    def is_involution(self) -> bool:
-        return (self * self).is_identity()
 
     def length(self) -> int:
         """Coxeter length: inversions plus the absolute values of negated entries."""
@@ -113,7 +104,7 @@ class SignedPermutation(tuple):
     def __neg__(self):
         return self.negate()
 
-    # -- generator actions and descents ------------------------------------
+    # -- generator actions and reduced words --------------------------------
 
     def apply_right(self, g: int) -> "SignedPermutation":
         """w * generator(g): t negates the first entry, s_i swaps entries i, i+1."""
@@ -124,17 +115,9 @@ class SignedPermutation(tuple):
             self[: g - 1] + (self[g], self[g - 1]) + self[g + 1:],
         )
 
-    def right_descent(self, g: int) -> bool:
-        """True iff length(w * generator(g)) < length(w)."""
-        if g == 0:
-            return self[0] < 0
-        return self[g - 1] > self[g]
-
-    def descents(self) -> list[int]:
-        return [g for g in range(len(self)) if self.right_descent(g)]
-
-    def reduced_word(self) -> "ReducedWord":
-        """A reduced word for w, stripping the smallest-index right descent first.
+    def reduced_word(self) -> tuple[int, ...]:
+        """A reduced word for w as its letters (0 is t, i >= 1 is s_i), found by
+        stripping the smallest-index right descent first.
 
         Stripping s_g changes only the descents at g - 1, g and g + 1, so the
         scan for the next smallest descent resumes at g - 1 instead of 0.
@@ -156,7 +139,7 @@ class SignedPermutation(tuple):
                 continue
             g += 1
         letters.reverse()
-        return ReducedWord(tuple(letters), m)
+        return tuple(letters)
 
     # -- rank changes -------------------------------------------------------
 
@@ -177,10 +160,6 @@ class SignedPermutation(tuple):
                 raise ValueError(f"{self} does not fix position {i + 1}")
         return tuple.__new__(SignedPermutation, self[:rank])
 
-    def fixes_suffix(self, rank: int) -> bool:
-        """True iff w fixes every position above ``rank`` pointwise."""
-        return all(self[i] == i + 1 for i in range(rank, len(self)))
-
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):
@@ -188,42 +167,6 @@ class SignedPermutation(tuple):
 
     def __repr__(self):
         return f"SignedPermutation({list(self)})"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SignedPermutation":
-        """Parse the window format "[1,-3,-2]"."""
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"expected a bracketed window, got {text!r}")
-        inner = body[1:-1].strip()
-        window = [int(v) for v in inner.split(",")] if inner else []
-        return cls(window)
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    """A word in the generators; index 0 is t, index i >= 1 is s_i."""
-
-    letters: tuple[int, ...]
-    rank: int
-
-    def __post_init__(self):
-        for g in self.letters:
-            if not 0 <= g < max(self.rank, 1):
-                raise ValueError(f"generator index {g} out of range for rank {self.rank}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def evaluate(self) -> SignedPermutation:
-        """Left-to-right product of the letters."""
-        w = identity(self.rank)
-        for g in self.letters:
-            w = w.apply_right(g)
-        return w
-
-    def __str__(self):
-        return " ".join("t" if g == 0 else f"s{g}" for g in self.letters)
 
 
 def identity(rank: int) -> SignedPermutation:
@@ -263,16 +206,6 @@ def make_cycle(n: int, k: int) -> SignedPermutation:
         list(range(1, n + 1)) + list(range(n + 2, n + k + 2)) + [n + 1]
     )
     return tuple.__new__(SignedPermutation, window)
-
-
-def coset_membership(w: SignedPermutation, n: int, k: int) -> bool:
-    """True iff w lies in the coset (B_n x S_k) * w_{n,k} inside B_{n+k}.
-
-    Membership is characterized by w(n+i) < -n for every 1 <= i <= k.
-    """
-    if len(w) != n + k:
-        raise ValueError(f"rank mismatch: {len(w)} vs n + k = {n + k}")
-    return all(w[n + i] < -n for i in range(k))
 
 
 def all_elements(rank: int):

@@ -26,10 +26,16 @@ from .combinat import (
     stat_a,
     symmetric_involutions,
 )
-from .hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
+from .hecke import (
+    HeckeElement,
+    distinguished_factor,
+    mult,
+    t_of,
+    trivial_quotient,
+    z_coefficient,
+)
 from .poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from .signedperm import (
-    coset_membership,
     generator,
     identity,
     make_cycle,
@@ -336,6 +342,7 @@ def verify_baby_succ(n: int, k: int) -> VerificationReport:
     c = make_cycle(n, k)
     c_inv = c.inverse()
     w_nk = make_w_nk(n, k)
+    w_up = make_w_nk(n + 1, k)
     mism = []
 
     def note(where, lhs, rhs):
@@ -346,17 +353,17 @@ def verify_baby_succ(n: int, k: int) -> VerificationReport:
         conj = c * w * c_inv
         if conj.length() != w.length() + 2 * k:
             note(f"length of c*{w}*c^-1", conj.length(), w.length() + 2 * k)
-        if not coset_membership(conj, n + 1, k):
+        if distinguished_factor(conj, n + 1, k)[1] != w_up:
             note(f"coset membership of c*{w}*c^-1", conj, f"(B_{n+1} x S_{k}) w_{n+1},{k}")
         if len(mism) >= WITNESS_LIMIT:
             return _report("baby", {"k": k, "n": n}, t0, mism)
 
-    w_up = make_w_nk(n + 1, k)
     for u in parabolic_elements(n + 1, k):
         w = u * w_up
         back = c_inv * w * c
-        lands = back.fixes_suffix(n + k) and coset_membership(
-            back.restrict(n + k), n, k
+        lands = (
+            back[n + k] == n + k + 1
+            and distinguished_factor(back.restrict(n + k), n, k)[1] == w_nk
         )
         if lands != (w[n] == n + 1):
             note(f"return conjugation of {w}", lands, w[n] == n + 1)

@@ -15,7 +15,13 @@ Evaluation multiplies the running product by a factor's base once per unit
 of its exponent, and the cost of each product grows with the coefficient
 degrees, so exponents are capped at MAX_EXPONENT.  At the cap,
 ``( t s1 s2 )^32`` at rank 3 takes about 1.1 s on a 2-vCPU host, against
-12 s for ``^64``.
+12 s for ``^64``.  Nested exponents multiply: a factor's exponent times the
+exponents of every group around it is also capped at MAX_EXPONENT, so
+``( ( t s1 )^32 )^4`` is refused at its ``4``.  Within the cap a nested
+group can still be slow, since its base is itself a many-term element:
+``( ( t s1 s2 )^16 )^2`` at rank 3 takes about 35 s and 950 MB.  Groups
+nest at most MAX_DEPTH deep; printing, hashing and evaluating recurse once
+per level.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .signedperm import generator, identity, make_cycle, make_w_nk
 
 __all__ = [
     "MAX_EXPONENT",
+    "MAX_DEPTH",
     "WordSyntaxError",
     "WordExpression",
     "WordFactor",
@@ -85,6 +92,7 @@ class GroupAtom:
 
 
 MAX_EXPONENT = 32
+MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -175,17 +184,27 @@ class _Parser:
             self.next()
             exp_tok = self.expect("INT")
             try:
-                return WordFactor(atom, int(exp_tok[1]))
+                factor = WordFactor(atom, int(exp_tok[1]))
             except ValueError as exc:
                 raise WordSyntaxError(str(exc), exp_tok[2]) from None
+            repeats = factor.exponent * _repeats(atom)
+            if repeats > MAX_EXPONENT:
+                raise WordSyntaxError(
+                    f"nested exponents multiply to {repeats}, above {MAX_EXPONENT}", exp_tok[2]
+                )
+            return factor
         return WordFactor(atom)
 
     def parse_atom(self):
         tok = self.next()
         kind, text, offset = tok
         if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise WordSyntaxError(f"groups nested more than {MAX_DEPTH} deep", offset)
+            self.depth += 1
             expr = self.parse_expr(inside_group=True)
             self.expect(")")
+            self.depth -= 1
             return GroupAtom(expr)
         if kind != "IDENT":
             raise WordSyntaxError(f"unexpected token {text!r}", offset)
@@ -208,6 +227,14 @@ class _Parser:
             n, k = int(n_tok[1]), int(k_tok[1])
             return WnkAtom(n, k) if text == "w_nk" else CycleAtom(n, k)
         raise WordSyntaxError(f"unknown token {text!r}", offset)
+
+
+def _repeats(atom) -> int:
+    """How many times evaluation repeats atom's most repeated factor: the
+    largest product of the exponents nested inside it, 1 for a token."""
+    if not isinstance(atom, GroupAtom):
+        return 1
+    return max(f.exponent * _repeats(f.atom) for f in atom.expr.factors)
 
 
 def parse_word(text: str) -> WordExpression:

@@ -22,6 +22,7 @@ from heckeb.signedperm import SignedPermutation, all_elements, generator, identi
 from heckeb import verify as V
 
 from combinat_helpers import succ
+from oracles import descents
 
 
 def _criterion(num, ok, description):
@@ -178,7 +179,7 @@ def test_criterion_10_oracle_suites():
     def word_by(w, chooser):
         letters = []
         while not w.is_identity():
-            letters.append(chooser(w.descents()))
+            letters.append(chooser(descents(w)))
             w = w.apply_right(letters[-1])
         letters.reverse()
         return letters

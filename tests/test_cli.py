@@ -9,7 +9,7 @@ from heckeb.cli import FK_MAX_K, GOOD_MAX_K, MULT_MAX_RANK, SEP_MAX_K, SQUARE_MA
 from heckeb.hecke import HeckeElement, mult, t_of
 from heckeb.poly import BivarPoly
 from heckeb.signedperm import make_w_nk
-from heckeb.words import MAX_EXPONENT
+from heckeb.words import MAX_DEPTH, MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -117,6 +117,8 @@ class TestInputCaps:
                 for method, cap in FK_MAX_K.items()
             ),
             (("mult", "--rank", str(MULT_MAX_RANK + 1), "--expr", "w0 w0"), MULT_MAX_RANK + 1),
+            (("mult", "--rank", "2", "--expr", "( ( t s1 )^32 )^4"), 128),
+            (("mult", "--rank", "2", "--expr", "( " * 5000 + "t" + " )" * 5000), MAX_DEPTH),
         ],
     )
     def test_over_cap_exits_2(self, capsys, argv, value):

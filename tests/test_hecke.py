@@ -32,13 +32,14 @@ from heckeb.poly import (
 from heckeb.signedperm import (
     SignedPermutation,
     all_elements,
-    coset_membership,
     generator,
     identity,
     make_w_nk,
     parabolic_elements,
 )
 from heckeb.verify import closed_form_w0k_square
+
+from oracles import descents, in_parabolic, in_wnk_coset, right_descent
 
 F2 = ONE - (ONE + Q) * P + P * P
 
@@ -81,7 +82,7 @@ def _oracle_fold_right(terms, g):
     out = {}
     for w, c in terms.items():
         ws = w.apply_right(g)
-        if not w.right_descent(g):
+        if not right_descent(w, g):
             _iadd_raw(out.setdefault(ws, {}), c)
             continue
         shifted = {(pe + dp, qe + dq): v for (pe, qe), v in c.items()}
@@ -103,7 +104,7 @@ def oracle_mult(h1, h2):
     acc = {}
     for w2, c2 in h2._terms.items():
         cur = {w1: _mul_raw(c1._terms, c2._terms) for w1, c1 in h1._terms.items()}
-        for g in w2.reduced_word().letters:
+        for g in w2.reduced_word():
             cur = _oracle_fold_right(cur, g)
         for w, c in cur.items():
             _iadd_raw(acc.setdefault(w, {}), c)
@@ -192,7 +193,7 @@ class TestWellDefined:
 
     def test_left_fold_of_reversed_word_squares(self):
         w = make_w_nk(0, 2)
-        word = w.reduced_word().letters
+        word = w.reduced_word()
         h = t_of(w)
         for g in reversed(word):
             h = mult(t_of(generator(g, 2)), h)
@@ -215,8 +216,8 @@ class TestWellDefined:
                 v = w
                 letters = []
                 while not v.is_identity():
-                    descents = v.descents()
-                    letters.append(descents[-1] if pick_max else descents[0])
+                    found = descents(v)
+                    letters.append(found[-1] if pick_max else found[0])
                     v = v.apply_right(letters[-1])
                 # letters strip w from the right, so the word is reversed(letters)
                 for g in reversed(letters):
@@ -359,6 +360,33 @@ class TestTrivialQuotient:
             trivial_quotient(t_of(make_w_nk(1, 2)), 1, 2)
 
 
+class TestCosetOracles:
+    """The closed form against the loop tests it replaced, on every element
+    of B_1..B_5 and every split n + k of the rank."""
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_wnk_coset_membership(self, rank):
+        for n in range(rank):
+            k = rank - n
+            w_nk = make_w_nk(n, k)
+            for w in all_elements(rank):
+                closed = distinguished_factor(w, n, k)[1] == w_nk
+                assert closed == in_wnk_coset(w, n, k), (w, n, k)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_parabolic_membership(self, rank):
+        for n in range(rank + 1):
+            k = rank - n
+            for w in all_elements(rank):
+                try:
+                    quotient = trivial_quotient(t_of(w), n, k)
+                except ValueError:
+                    assert not in_parabolic(w, n, k), (w, n, k)
+                else:
+                    assert in_parabolic(w, n, k), (w, n, k)
+                    assert quotient == t_of(SignedPermutation(w[:n]))
+
+
 class TestZCoefficient:
     def test_k2_base(self):
         z = z_coefficient(0, 2)
@@ -383,7 +411,7 @@ class TestZCoefficient:
         for n, k in ((1, 2), (2, 2)):
             w_nk = make_w_nk(n, k)
             pool = [
-                w for w in all_elements(n + k) if not coset_membership(w, n, k)
+                w for w in all_elements(n + k) if not in_wnk_coset(w, n, k)
             ]
             parabolic = list(parabolic_elements(n, k))
             for _ in range(6):

@@ -1,9 +1,14 @@
 """The README's Python example and the package's public names."""
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import heckeb
 
@@ -24,3 +29,22 @@ def test_every_public_name_resolves():
     assert len(set(heckeb.__all__)) == len(heckeb.__all__)
     for name in heckeb.__all__:
         assert getattr(heckeb, name) is not None, name
+
+
+MODULES = [
+    importlib.import_module(f"heckeb.{m.name}") for m in pkgutil.iter_modules(heckeb.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_module_export_resolves(module):
+    names = getattr(module, "__all__", [])
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_exports_are_module_exports():
+    for name in heckeb.__all__:
+        home = sys.modules[getattr(heckeb, name).__module__]
+        assert name in getattr(home, "__all__", ()), f"{name} is not in {home.__name__}.__all__"

@@ -4,11 +4,10 @@ from collections import deque
 
 import pytest
 
+from heckeb.hecke import distinguished_factor
 from heckeb.signedperm import (
-    ReducedWord,
     SignedPermutation,
     all_elements,
-    coset_membership,
     generator,
     identity,
     make_cycle,
@@ -16,6 +15,8 @@ from heckeb.signedperm import (
     parabolic_elements,
     symmetric_group_elements,
 )
+
+from oracles import right_descent
 
 
 def bfs_distances(rank):
@@ -61,7 +62,6 @@ class TestCompose:
     def test_inverse(self):
         for w in all_elements(3):
             assert (w * w.inverse()).is_identity()
-            assert (~w * w).is_identity()
 
 
 class TestLength:
@@ -102,7 +102,7 @@ class TestDescents:
     def test_right_descent_matches_length(self):
         for w in all_elements(3):
             for g in range(3):
-                assert w.right_descent(g) == (w.apply_right(g).length() < w.length())
+                assert right_descent(w, g) == (w.apply_right(g).length() < w.length())
 
 
 def stripping_word(w):
@@ -110,7 +110,7 @@ def stripping_word(w):
     letters = []
     while True:
         for g in range(len(w)):
-            if w.right_descent(g):
+            if right_descent(w, g):
                 letters.append(g)
                 w = w.apply_right(g)
                 break
@@ -123,31 +123,27 @@ class TestReducedWord:
     @pytest.mark.parametrize("rank", range(0, 6))
     def test_matches_full_rescan_exhaustively(self, rank):
         for w in all_elements(rank):
-            assert w.reduced_word().letters == stripping_word(w), w
+            assert w.reduced_word() == stripping_word(w), w
 
     def test_identity_empty(self):
-        assert identity(3).reduced_word().letters == ()
+        assert identity(3).reduced_word() == ()
 
     def test_single_generator(self):
-        assert generator(0, 2).reduced_word().letters == (0,)
+        assert generator(0, 2).reduced_word() == (0,)
 
     def test_evaluates_back(self):
         for w in all_elements(3):
             word = w.reduced_word()
-            assert word.evaluate() == w
+            v = identity(3)
+            for g in word:
+                v = v.apply_right(g)
+            assert v == w
             assert len(word) == w.length()
 
     def test_deterministic(self):
         w = SignedPermutation([-2, -1])
-        assert w.reduced_word().letters == w.reduced_word().letters
+        assert w.reduced_word() == w.reduced_word()
         assert len(w.reduced_word()) == 3
-
-    def test_word_text(self):
-        assert str(SignedPermutation([-2, -1]).reduced_word()) == "t s1 t"
-
-    def test_bad_letter_rejected(self):
-        with pytest.raises(ValueError):
-            ReducedWord((3,), 2)
 
 
 class TestNegate:
@@ -191,31 +187,34 @@ class TestWnk:
             assert c * w * c.inverse() == make_w_nk(n + 1, k).embed(n + k + 1)
 
 
+def in_coset_by_closed_form(w, n, k):
+    """Membership in (B_n x S_k) w_{n,k}, decided by the closed form."""
+    return distinguished_factor(w, n, k)[1] == make_w_nk(n, k)
+
+
 class TestCosetMembership:
     def test_wnk_is_member(self):
-        assert coset_membership(make_w_nk(1, 2), 1, 2)
+        assert in_coset_by_closed_form(make_w_nk(1, 2), 1, 2)
 
     def test_identity_is_not(self):
-        assert not coset_membership(identity(3), 1, 2)
+        assert not in_coset_by_closed_form(identity(3), 1, 2)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            coset_membership(identity(4), 1, 2)
+            in_coset_by_closed_form(identity(4), 1, 2)
 
     def test_exhaustive_b3(self):
         # the coset (B_1 x S_2) w_{1,2} inside B_3 has exactly 2 * 2 = 4 elements
         w12 = make_w_nk(1, 2)
         explicit = {u * w12 for u in parabolic_elements(1, 2)}
         assert len(explicit) == 4
-        members = {w for w in all_elements(3) if coset_membership(w, 1, 2)}
+        members = {w for w in all_elements(3) if in_coset_by_closed_form(w, 1, 2)}
         assert members == explicit
 
 
 class TestParabolic:
     def test_distinguished_length_additivity(self):
         # minimal coset representatives x satisfy l(w'x) = l(w') + l(x)
-        from heckeb.hecke import distinguished_factor
-
         reps = {distinguished_factor(w, 1, 2)[1] for w in all_elements(3)}
         for wp in parabolic_elements(1, 2):
             for x in reps:
@@ -226,11 +225,9 @@ class TestFormats:
     def test_str_round_trip(self):
         w = SignedPermutation([1, -3, -2])
         assert str(w) == "[1,-3,-2]"
-        assert SignedPermutation.from_text(str(w)) == w
 
     def test_empty_window(self):
         assert str(identity(0)) == "[]"
-        assert SignedPermutation.from_text("[]") == identity(0)
 
     def test_invalid_windows(self):
         for bad in ([1, 1], [0, 2], [3, 1], [1, -1]):

@@ -5,6 +5,7 @@ import pytest
 from heckeb.hecke import mult, t_of, unit
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb.words import (
+    MAX_DEPTH,
     MAX_EXPONENT,
     GenAtom,
     WordFactor,
@@ -51,6 +52,33 @@ class TestParse:
         assert err.value.offset == 5
         with pytest.raises(ValueError):
             WordFactor(GenAtom(1), MAX_EXPONENT + 1)
+
+    @pytest.mark.parametrize(
+        "text,offset,repeats", [("( ( t s1 )^32 )^4", 16, 128), ("( t^2 s1 )^17", 11, 34)]
+    )
+    def test_nested_exponents_multiply(self, text, offset, repeats):
+        # refused at the exponent whose product with the inner ones crosses the cap
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text)
+        assert err.value.offset == offset
+        assert str(repeats) in str(err.value)
+
+    def test_nested_exponents_within_the_cap(self):
+        expr = parse_word("( ( t )^4 s1 )^8 ( t )^32")
+        assert [f.exponent for f in expr.factors] == [8, 32]
+
+    def test_zero_exponent_inside_a_group(self):
+        assert parse_word(f"( t^0 )^{MAX_EXPONENT}").factors[0].exponent == MAX_EXPONENT
+
+    def test_nesting_depth_cap(self):
+        at_cap = "( " * MAX_DEPTH + "t" + " )" * MAX_DEPTH
+        expr = parse_word(at_cap)
+        assert str(expr) == at_cap and hash(expr) == hash(parse_word(at_cap))
+        assert evaluate_word(expr, 1) == t_of(generator(0, 1))
+        over = MAX_DEPTH + 1
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word("( " * over + "t" + " )" * over)
+        assert err.value.offset == 2 * MAX_DEPTH  # the first "(" past the cap
 
 
 class TestEvaluate:
