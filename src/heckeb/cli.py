@@ -237,9 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--expr",
         required=True,
-        help=f"word expression; each exponent times the exponents of the groups around it "
-        f"at most {MAX_EXPONENT} (nested groups within the cap can still be slow); "
-        f"groups nested at most {MAX_DEPTH} deep",
+        help=f"word expression, multiplied out as h*T_x one maximal reduced run of letters "
+        f"at a time; each exponent times the exponents of the groups around it at most "
+        f"{MAX_EXPONENT}; groups nested at most {MAX_DEPTH} deep",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mult)

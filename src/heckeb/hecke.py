@@ -5,13 +5,15 @@ mapping from window to coefficient.  The generator T_t carries parameter p,
 every T_{s_i} carries q, and the defining relation is
 (T_g - 1)(T_g + param(g)) = 0.
 
-Products are computed by expanding the right factor basis element by basis
-element along a reduced word and folding single-generator multiplications
-into the left factor, so no multiplication tables are ever materialized and
-the right fold is the only multiplication kernel.  Inverses of basis
-elements are never formed; coefficients stay polynomial.
+The one multiplication kernel is h * T_x: h is folded along a reduced word
+of x, and each letter either lengthens a term's window or splits it by the
+quadratic relation (Geck & Pfeiffer, Characters of Finite Coxeter Groups
+and Iwahori-Hecke Algebras, 2000).  ``mult`` is linear in its right factor:
+h1 * h2 is the sum over the terms c * T_x of h2 of (h1 * T_x) * c.  No
+multiplication table is ever materialized, inverses of basis elements are
+never formed, and coefficients stay polynomial.
 
-Kernel representation.  Inside one call of ``mult`` windows are ints and
+Kernel representation.  Inside one h * T_x fold windows are ints and
 coefficients are ids into a pool of hash-consed BivarPoly term dicts
 (Filliatre & Conchon, "Type-safe modular hash-consing", 2006); the windows
 are decoded once, at the end:
@@ -22,18 +24,17 @@ are decoded once, at the end:
   comparison.
 - A coefficient is a BivarPoly term dict {(pe, qe): int}, pooled as it is,
   with no copy.  The pool gives each distinct dict one id; id 0 is zero.
-  Pooled dicts are never changed.  Sums, splits and products run poly's raw
-  term-dict helpers, the same loops as BivarPoly's own arithmetic.
+  Pooled dicts are never changed.  Sums and splits run poly's raw term-dict
+  helpers, the same loops as BivarPoly's own arithmetic.
 - The fold maps windows to ids.  A move keeps its id.  A descent looks up a
-  per-shift memo id -> (id of (1 - param)*c, id of param*c), a merge looks
-  up a memo (a, b) -> id of a + b, and the left-times-right coefficient
-  products are memoised the same way; a unit right coefficient keeps the
-  left id.  So the per-monomial work runs once per distinct operation, not
-  once per term and letter, and only a memo miss calls into the pool.
+  per-shift memo id -> (id of (1 - param)*c, id of param*c), and a merge
+  looks up a memo (a, b) -> id of a + b.  So the per-monomial work runs once
+  per distinct operation, not once per term and letter, and only a memo
+  miss calls into the pool.
 - Fingerprints.  Each pooled dict has a fingerprint: its value at p = X_p,
   q = X_q, two fixed bases, modulo the prime 2^61 - 1.  That is a ring
-  homomorphism, so the fingerprint of a sum, a product or a split follows
-  from its inputs' in O(1); only the factors' coefficients are fingerprinted
+  homomorphism, so the fingerprint of a sum or a split follows from its
+  inputs' in O(1); only the left factor's coefficients are fingerprinted
   monomial by monomial, through a table kept across calls.  A dict's id is
   its fingerprint, or the fingerprint plus the first multiple of the modulus
   whose slot is free or holds an equal dict: a fingerprint hit is always
@@ -50,9 +51,10 @@ are decoded once, at the end:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter, mul
 
-from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw, _mul_raw
+from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw
 from .signedperm import SignedPermutation, identity, make_w_nk
 
 __all__ = [
@@ -222,12 +224,12 @@ def t_of(w: SignedPermutation) -> HeckeElement:
 # -- the multiplication kernel (int windows, pooled coefficients; see above) ---
 
 # The fingerprint of a pooled coefficient is its value at p = _FP_P, q = _FP_Q
-# modulo the prime _FP_MODULUS (read at every mult call).
+# modulo the prime _FP_MODULUS (read at every h * T_x fold).
 _FP_MODULUS = (1 << 61) - 1
 _FP_P = 0x2545F4914F6CDD1D
 _FP_Q = 0x9E3779B97F4A7C15
 
-# Tables kept across mult calls.  _FINGERPRINTS holds one table
+# Tables kept across folds.  _FINGERPRINTS holds one table
 # {monomial: fingerprint}, under the modulus it was built for; a call under
 # another modulus replaces it.  _TIMES_P and _TIMES_Q map a monomial to
 # monomial * p and monomial * q, so splits share the shifted tuples.
@@ -237,21 +239,18 @@ _TIMES_Q: dict = {}
 
 
 class _Pool:
-    """The hash-consed coefficient term dicts of one ``mult`` call.
+    """The hash-consed coefficient term dicts of one h * T_x fold.
 
     ``dicts`` maps each id to a BivarPoly term dict.  A dict's id is its
     fingerprint fp, or fp + j*mod for the first j whose slot is free or holds
     an equal dict, so every id is congruent to its fingerprint modulo
     ``mod`` and a fingerprint hit is always confirmed by ==.  Id 0 is zero.
-    Pooled dicts are never changed.  The memos ``sums``, ``products``,
-    ``split_p`` and ``split_q`` map ids to ids; the fold reads them inline
-    and calls a method only on a miss.
+    Pooled dicts are never changed.  The memos ``sums``, ``split_p`` and
+    ``split_q`` map ids to ids; the fold reads them inline and calls a
+    method only on a miss.
     """
 
-    __slots__ = (
-        "dicts", "mod", "fingerprints", "fp_p", "fp_q", "one",
-        "sums", "products", "split_p", "split_q",
-    )
+    __slots__ = ("dicts", "mod", "fingerprints", "fp_p", "fp_q", "sums", "split_p", "split_q")
 
     def __init__(self):
         mod = _FP_MODULUS
@@ -264,10 +263,8 @@ class _Pool:
         self.fp_q = _FP_Q % mod
         self.dicts = {0: {}}
         self.sums: dict = {}
-        self.products: dict = {}
         self.split_p: dict = {}
         self.split_q: dict = {}
-        self.one = self.encode(ONE._terms)
 
     def intern(self, d: dict, fp: int) -> int:
         """The id of d, whose fingerprint is fp."""
@@ -304,12 +301,6 @@ class _Pool:
         d = dict(x)
         _iadd_raw(d, y)
         s = self.sums[a, b] = self.intern(d, (a + b) % self.mod)
-        return s
-
-    def mul(self, a: int, b: int) -> int:
-        """The id of dicts[a] * dicts[b], memoised under (a, b)."""
-        out = _mul_raw(self.dicts[a], self.dicts[b])
-        s = self.products[a, b] = self.intern(out, a * b % self.mod)
         return s
 
     def split(self, c: int, p: bool) -> tuple:
@@ -395,66 +386,30 @@ def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
     return out
 
 
-def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra.
+def _times_t(h: HeckeElement, x: SignedPermutation) -> HeckeElement:
+    """h * T_x: h is encoded once, folded along a reduced word of x and decoded.
 
-    Expands each basis element of h2 along a reduced word and folds the
-    generators into h1; well-definedness over the choice of word is a
-    consequence of the braid relations (and is exercised by the tests).
-    The fold runs on int windows and pooled coefficient ids, as described in
-    the module docstring; neither factor is changed.
+    Well-definedness over the choice of word is a consequence of the braid
+    relations (and is exercised by the tests).  The fold runs on int windows
+    and pooled coefficient ids, as described in the module docstring; h is
+    not changed.
     """
-    h1._check_rank(h2)
-    rank = h1.rank
-    if not h1._terms or not h2._terms:
-        return HeckeElement._raw(rank, {})
-    words = [(w2.reduced_word(), c2) for w2, c2 in h2._terms.items()]
+    rank = h.rank
     width = (2 * rank).bit_length()
     shifts = [i * width for i in range(rank)]
     pool = _Pool()
-    encoded: dict = {}  # id(BivarPoly) -> pool id; the factors keep the objects alive
-
-    def encode(c: BivarPoly) -> int:
+    encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
+    windows: dict = {}  # packed window -> h's SignedPermutation
+    cur: dict = {}
+    for w, c in h._terms.items():
+        key = sum((v + rank) << s for v, s in zip(w, shifts))
+        windows[key] = w
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
-        return i
-
-    windows: dict = {}  # packed window -> the left factor's SignedPermutation
-    left: dict = {}
-    for w1, c1 in h1._terms.items():
-        key = sum((v + rank) << s for v, s in zip(w1, shifts))
-        windows[key] = w1
-        left[key] = encode(c1)
-    products = pool.products
-    sums = pool.sums
-    acc: dict = {}
-    for word, c2 in words:
-        r = encode(c2)
-        if r == pool.one:
-            cur = left
-        else:
-            cur = {}
-            for w1, c1 in left.items():
-                c = products.get((c1, r))
-                cur[w1] = pool.mul(c1, r) if c is None else c
-        for g in word:
-            cur = _fold(cur, g, width, rank, pool)
-        if not acc and cur is not left:
-            acc = cur
-            continue
-        for w, c in cur.items():
-            t = acc.get(w)
-            if t is None:
-                acc[w] = c
-            else:
-                s = sums.get((t, c))
-                if s is None:
-                    s = pool.add(t, c)
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
+        cur[key] = i
+    for g in x.reduced_word():
+        cur = _fold(cur, g, width, rank, pool)
 
     # Decode each window per term and each coefficient id once: every term
     # with the same id shares one BivarPoly around the pooled dict.
@@ -462,36 +417,57 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     dicts = pool.dicts
     polys: dict = {}
     out = {}
-    for w, c in acc.items():
+    for w, c in cur.items():
         poly = polys.get(c)
         if poly is None:
             poly = polys[c] = BivarPoly._raw(dicts[c])
-        window = windows.get(w)  # the left factor's windows are already decoded
+        window = windows.get(w)  # h's windows are already decoded
         if window is None:
             window = tuple.__new__(SignedPermutation, [(w >> s & mask) - rank for s in shifts])
         out[window] = poly
     return HeckeElement._raw(rank, out)
 
 
+def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+    """Product in the Hecke algebra, linear in h2: the sum over the terms
+    c * T_x of h2 of (h1 * T_x) * c.
+
+    Each h1 * T_x is one fold (``_times_t``); a right factor T_x with
+    coefficient 1 is that fold alone.  Neither factor is changed.
+    """
+    h1._check_rank(h2)
+    out = HeckeElement._raw(h1.rank, {})
+    for x, c in h2._terms.items():
+        term = _times_t(h1, x)
+        if c != ONE:
+            term = term.scale(c)
+        out = out + term if out._terms else term
+    return out
+
+
 # -- parabolic coset machinery ----------------------------------------------------
 
-def _pattern_classes(n: int, k: int) -> list:
+@lru_cache(maxsize=64)
+def _pattern_classes(n: int, k: int) -> tuple:
     """Indexed by a window value v of B_{n+k} (negative v from the end):
-    0 if |v| <= n, else the sign of v."""
+    0 if |v| <= n, else the sign of v.  Cached, so it is a tuple."""
     classes = [0] * (2 * (n + k) + 1)
     for v in range(n + 1, n + k + 1):
         classes[v] = 1
         classes[-v] = -1
-    return classes
+    return tuple(classes)
 
 
+@lru_cache(maxsize=256)
 def _coset_form(pattern: tuple, n: int) -> tuple:
     """The closed form of the coset (B_n x S_k) w with the given pattern.
 
     Left multiplication by B_n x S_k permutes the values of absolute value
     at most n among themselves and the larger values without changing their
     signs, so the coset is fixed by its pattern: per position, 0 for a small
-    value and else the sign of the value.  Returns (x, pick, signs):
+    value and else the sign of the value.  The 256 most recent forms are
+    cached by (pattern, n), which keeps the memory of a sweep flat; every
+    part of the result is immutable.  Returns (x, pick, signs):
 
     - ``pick`` takes the window entries at the small positions in increasing
       order, then at the large positions i in increasing order of the signed
@@ -566,7 +542,8 @@ def parabolic_decompose(h: HeckeElement, n: int, k: int) -> ParabolicDecompositi
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
-    classify = _pattern_classes(n, k).__getitem__
+    # a list copy: a list's bound __getitem__ is a faster call than a tuple's
+    classify = list(_pattern_classes(n, k)).__getitem__
     forms: dict = {}  # pattern -> (pick, signs, {w': coefficient})
     buckets: dict[SignedPermutation, dict] = {}
     new = tuple.__new__
@@ -594,7 +571,8 @@ def trivial_quotient(h: HeckeElement, n: int, k: int) -> HeckeElement:
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
-    classify = _pattern_classes(n, k).__getitem__
+    # a list copy: a list's bound __getitem__ is a faster call than a tuple's
+    classify = list(_pattern_classes(n, k)).__getitem__
     parabolic = (0,) * n + (1,) * k
     out: dict[SignedPermutation, BivarPoly] = {}
     for w, c in h._terms.items():

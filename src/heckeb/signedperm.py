@@ -101,9 +101,6 @@ class SignedPermutation(tuple):
         """The element -w, with (-w)(i) = -w(i); equals w0*w = w*w0."""
         return tuple.__new__(SignedPermutation, (-v for v in self))
 
-    def __neg__(self):
-        return self.negate()
-
     # -- generator actions and reduced words --------------------------------
 
     def apply_right(self, g: int) -> "SignedPermutation":

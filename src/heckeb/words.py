@@ -11,17 +11,18 @@ Tokens are the generators ("t", "s1", "s2", ...) and the named elements
 Parsing and printing are mutually inverse on canonical forms; unknown or
 malformed input is rejected with the byte offset of the offending token.
 
-Evaluation multiplies the running product by a factor's base once per unit
-of its exponent, and the cost of each product grows with the coefficient
-degrees, so exponents are capped at MAX_EXPONENT.  At the cap,
-``( t s1 s2 )^32`` at rank 3 takes about 1.1 s on a 2-vCPU host, against
-12 s for ``^64``.  Nested exponents multiply: a factor's exponent times the
-exponents of every group around it is also capped at MAX_EXPONENT, so
-``( ( t s1 )^32 )^4`` is refused at its ``4``.  Within the cap a nested
-group can still be slow, since its base is itself a many-term element:
-``( ( t s1 s2 )^16 )^2`` at rank 3 takes about 35 s and 950 MB.  Groups
-nest at most MAX_DEPTH deep; printing, hashing and evaluating recurse once
-per level.
+Evaluation flattens the expression to its letters (a reduced word per
+token, a factor's letters repeated per unit of its exponent) and multiplies
+the running product by T_x once per maximal reduced run x of letters, so
+every product is h * T_x, the one kernel of ``heckeb.hecke``.  Each letter
+costs more as the coefficient degrees grow, so exponents are capped at
+MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at rank 3 takes about 0.8 s
+and 40 MB in a fresh process on a 2-vCPU host.  Nested exponents multiply:
+a factor's exponent times the exponents of every group around it is also
+capped at MAX_EXPONENT, so ``( ( t s1 )^32 )^4`` is refused at its ``4``,
+and ``( ( t s1 s2 )^16 )^2`` has the letters of ``( t s1 s2 )^32`` and
+about its time.  Groups nest at most MAX_DEPTH deep; printing, hashing and
+flattening recurse once per level.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .hecke import HeckeElement, mult, t_of, unit
-from .signedperm import generator, identity, make_cycle, make_w_nk
+from .hecke import HeckeElement, mult, t_of
+from .signedperm import identity, make_cycle, make_w_nk
 
 __all__ = [
     "MAX_EXPONENT",
@@ -247,36 +248,49 @@ def parse_word(text: str) -> WordExpression:
     return expr
 
 
-def _atom_element(atom, rank: int) -> HeckeElement:
-    if isinstance(atom, GenAtom):
-        if atom.index > rank - 1 or rank < 1:
-            raise ValueError(f"generator {atom} out of range for rank {rank}")
-        return t_of(generator(atom.index, rank))
-    if isinstance(atom, LongestAtom):
-        return t_of(identity(rank).negate())
-    if isinstance(atom, WnkAtom):
-        if atom.n + atom.k > rank:
-            raise ValueError(f"{atom} does not fit in rank {rank}")
-        return t_of(make_w_nk(atom.n, atom.k).embed(rank))
-    if isinstance(atom, CycleAtom):
-        if atom.n + atom.k + 1 > rank:
-            raise ValueError(f"{atom} does not fit in rank {rank}")
-        return t_of(make_cycle(atom.n, atom.k).embed(rank))
-    if isinstance(atom, GroupAtom):
-        return evaluate_word(atom.expr, rank)
-    raise TypeError(f"unknown atom {atom!r}")
+def _letters(expr: WordExpression, rank: int) -> list:
+    """The expression's letters (0 is t, i >= 1 is s_i): a reduced word per
+    token, and a factor's letters repeated once per unit of its exponent.
+    Every token is checked against the rank, also under exponent 0."""
+    letters = []
+    for factor in expr.factors:
+        atom = factor.atom
+        if isinstance(atom, GroupAtom):
+            word = _letters(atom.expr, rank)
+        elif isinstance(atom, GenAtom):
+            if atom.index > rank - 1 or rank < 1:
+                raise ValueError(f"generator {atom} out of range for rank {rank}")
+            word = [atom.index]
+        elif isinstance(atom, LongestAtom):
+            word = identity(rank).negate().reduced_word()
+        elif isinstance(atom, WnkAtom):
+            if atom.n + atom.k > rank:
+                raise ValueError(f"{atom} does not fit in rank {rank}")
+            word = make_w_nk(atom.n, atom.k).embed(rank).reduced_word()
+        elif isinstance(atom, CycleAtom):
+            if atom.n + atom.k + 1 > rank:
+                raise ValueError(f"{atom} does not fit in rank {rank}")
+            word = make_cycle(atom.n, atom.k).embed(rank).reduced_word()
+        else:
+            raise TypeError(f"unknown atom {atom!r}")
+        letters.extend(word * factor.exponent)
+    return letters
 
 
 def evaluate_word(expr: WordExpression, rank: int) -> HeckeElement:
     """Evaluate the expression in the Hecke algebra of B_rank.
 
-    The product starts from its first factor rather than from the unit, so
-    n factors (exponents multiplied out) cost n - 1 products; when every
-    exponent is 0 the result is the unit.
+    The letters are cut into maximal reduced runs: a run's group element x
+    grows while each letter lengthens it, and a letter that would shorten it
+    starts the next run.  The first run gives T_x and each later run one
+    product ``mult(result, t_of(x))``, so every right factor is one basis
+    element with coefficient 1.  With no letters the result is the unit.
     """
     result = None
-    for factor in expr.factors:
-        base = _atom_element(factor.atom, rank)
-        for _ in range(factor.exponent):
-            result = base if result is None else mult(result, base)
-    return unit(rank) if result is None else result
+    x = identity(rank)
+    for g in _letters(expr, rank):
+        if x[0] < 0 if g == 0 else x[g - 1] > x[g]:  # g shortens x: the run ends
+            result = t_of(x) if result is None else mult(result, t_of(x))
+            x = identity(rank)
+        x = x.apply_right(g)
+    return t_of(x) if result is None else mult(result, t_of(x))

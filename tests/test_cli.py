@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from heckeb import cli
+from heckeb import cli, hecke, verify, words
 from heckeb.cli import FK_MAX_K, GOOD_MAX_K, MULT_MAX_RANK, SEP_MAX_K, SQUARE_MAX_K, main
 from heckeb.hecke import HeckeElement, mult, t_of
-from heckeb.poly import BivarPoly
+from heckeb.poly import ONE, BivarPoly
 from heckeb.signedperm import make_w_nk
 from heckeb.words import MAX_DEPTH, MAX_EXPONENT
 
@@ -190,3 +190,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["fk"])
         assert exc.value.code == 2
+
+
+class TestRightFactors:
+    def test_every_product_has_a_one_term_right_factor(self, capsys, monkeypatch):
+        right = []
+
+        def recording_mult(h1, h2):
+            right.append(h2)
+            return mult(h1, h2)
+
+        for module in (hecke, verify, words, cli):
+            monkeypatch.setattr(module, "mult", recording_mult)
+        assert run(capsys, "verify", "--suite", "all", "--max-rank", "4")[0] == 0
+        assert run(capsys, "square-w0k", "--k", "3")[0] == 0
+        assert run(capsys, "mult", "--rank", "4", "--expr", "c(1,2) w0 ( t s2 )^3 w_nk(1,3)")[0] == 0
+        assert run(capsys, "mult", "--rank", "3", "--expr", "( ( t s1 )^3 s2 )^4 w0^0")[0] == 0
+        assert right and all(len(h2._terms) == 1 and ONE in h2._terms.values() for h2 in right)

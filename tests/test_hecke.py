@@ -527,6 +527,21 @@ class TestKernel:
             )
             assert mult(t_of(v), t_of(short)).specialize(1, 1) == {v * short: 1}
 
+    def test_right_terms_that_cancel_at_a_window(self):
+        # T_w (T_s - (1 - q)) = q T_{ws} when s shortens w: the (1 - q) T_w
+        # part of T_w T_s cancels against the second right term
+        rank = 3
+        s = generator(1, rank)
+        h2 = HeckeElement(rank, {s: ONE, identity(rank): Q - ONE})
+        for w in all_elements(rank):
+            product = mult(t_of(w), h2)
+            assert product == oracle_mult(t_of(w), h2), w
+            if right_descent(w, 1):
+                assert product == HeckeElement(rank, {w * s: Q})
+        rng = random.Random(11)
+        h1 = random_element(rank, rng, n_terms=6)
+        assert mult(h1, h2) == oracle_mult(h1, h2)
+
     def test_factors_are_not_changed(self):
         rng = random.Random(3)
         closed = closed_form_w0k_square(3)

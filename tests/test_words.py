@@ -1,8 +1,12 @@
 """The word-expression parser and its Hecke evaluation."""
 
+import random
+
 import pytest
 
+from heckeb import words
 from heckeb.hecke import mult, t_of, unit
+from heckeb.poly import ONE
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb.words import (
     MAX_DEPTH,
@@ -13,6 +17,63 @@ from heckeb.words import (
     evaluate_word,
     parse_word,
 )
+
+from oracles import right_descent
+
+MAX_LETTERS = 20  # keeps the letter-by-letter reference product small
+
+
+def _random_factor(rng, rank, depth):
+    """(text, letters) of one factor: a token or a group, with an exponent."""
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        parts = [_random_factor(rng, rank, depth + 1) for _ in range(rng.randint(1, 3))]
+        text = "( " + " ".join(t for t, _ in parts) + " )"
+        letters = [g for _, word in parts for g in word]
+    elif roll < 0.4 and rank <= 4:
+        text, letters = "w0", list(identity(rank).negate().reduced_word())
+    elif roll < 0.5:
+        k = rng.randint(1, min(2, rank))
+        n = rng.randint(0, min(2, rank - k))
+        text, letters = f"w_nk({n},{k})", list(make_w_nk(n, k).embed(rank).reduced_word())
+    elif roll < 0.6:
+        k = rng.randint(1, min(2, rank - 1))
+        n = rng.randint(0, rank - k - 1)
+        text, letters = f"c({n},{k})", list(make_cycle(n, k).embed(rank).reduced_word())
+    else:
+        g = rng.randrange(rank)
+        text, letters = ("t" if g == 0 else f"s{g}"), [g]
+    exponent = rng.choice((0, 1, 1, 2, 3))
+    if exponent != 1:
+        text += f"^{exponent}"
+    return text, letters * exponent
+
+
+def seeded_expressions():
+    """(rank, text, letters) at ranks 2-6, with the letters multiplied out
+    independently of the parser."""
+    rng = random.Random(2017)
+    out = []
+    for rank in range(2, 7):
+        while sum(r == rank for r, _, _ in out) < 8:
+            parts = [_random_factor(rng, rank, 0) for _ in range(rng.randint(1, 3))]
+            letters = [g for _, word in parts for g in word]
+            if len(letters) <= MAX_LETTERS:
+                out.append((rank, " ".join(t for t, _ in parts), letters))
+    return out
+
+
+EXPRESSIONS = seeded_expressions()
+
+
+def maximal_runs(letters, rank):
+    """The group elements of the maximal reduced runs of a letter sequence."""
+    runs = [identity(rank)]
+    for g in letters:
+        if right_descent(runs[-1], g):
+            runs.append(identity(rank))
+        runs[-1] = runs[-1].apply_right(g)
+    return runs
 
 
 class TestParse:
@@ -120,3 +181,47 @@ class TestEvaluate:
         lhs = evaluate_word(parse_word("s1^2"), 2)
         s1 = t_of(generator(1, 2))
         assert lhs == mult(s1, s1)
+
+
+class TestReducedRuns:
+    """Evaluation multiplies by one basis element per maximal reduced run."""
+
+    def test_expressions_cover_every_feature(self):
+        texts = [text for _, text, _ in EXPRESSIONS]
+        for feature in ("( (", "^0", "w0", "w_nk(", "c("):
+            assert any(feature in text for text in texts), feature
+        assert any(not letters for _, _, letters in EXPRESSIONS)
+
+    @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
+    def test_every_right_factor_is_one_run(self, monkeypatch, rank, text, letters):
+        right = []
+
+        def recording_mult(h1, h2):
+            right.append(h2)
+            return mult(h1, h2)
+
+        monkeypatch.setattr(words, "mult", recording_mult)
+        evaluate_word(parse_word(text), rank)
+        factors = []
+        for h2 in right:
+            ((x, c),) = h2._terms.items()
+            assert c == ONE
+            factors.append(x)
+        runs = maximal_runs(letters, rank)
+        assert factors == runs[1:]
+        assert runs[0].length() + sum(x.length() for x in factors) == len(letters)
+
+    @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
+    def test_matches_letter_by_letter_product(self, rank, text, letters):
+        element = evaluate_word(parse_word(text), rank)
+        expected = unit(rank)
+        w = identity(rank)
+        for g in letters:
+            expected = mult(expected, t_of(generator(g, rank)))
+            w = w.apply_right(g)
+        assert element == expected
+        assert element.specialize(1, 1) == {w: 1}
+
+    def test_nested_power_equals_flat_power(self):
+        nested = evaluate_word(parse_word("( ( t s1 s2 )^16 )^2"), 3)
+        assert nested == evaluate_word(parse_word("( t s1 s2 )^32"), 3)
