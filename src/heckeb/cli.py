@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 ``square-w0k --k`` above SQUARE_MAX_K, ``fk --k`` above FK_MAX_K[method],
 ``good --k`` above GOOD_MAX_K, ``sep --k`` above SEP_MAX_K, ``mult --rank``
 above MULT_MAX_RANK, a ``mult`` exponent, or product of nested exponents,
-above words.MAX_EXPONENT, or ``mult`` groups nested deeper than
-words.MAX_DEPTH).  The rank cap bounds the support of a product (at most
-|B_6| terms), not its time.
+above words.MAX_EXPONENT, ``mult`` groups nested deeper than
+words.MAX_DEPTH, and ``verify --max-rank`` above VERIFY_MAX_RANK[suite],
+the smallest of these for ``--suite all``; a negative value of any of these
+options is refused too).  The rank cap bounds the support of a product (at
+most |B_6| terms), not its time.
 All output goes to stdout; diagnostics go to stderr.
 """
 
@@ -45,14 +47,31 @@ from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, pars
 # and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 5 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
-# ``good`` about 3 s and 80 MB (k = 11 has four times as many rows); and
-# ``sep`` about 10 s and 210 MB (each step of 2 in k costs about 2.7x).
+# ``good`` about 1.5 s and 80 MB, 2 s with --json (k = 11 has four times as
+# many rows); and ``sep`` about 10 s and 210 MB (each step of 2 in k costs
+# about 2.7x).
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
 # ``w0 w0`` at rank 6 takes about 6 s and 175 MB; B_7 has 645,120.
 MULT_MAX_RANK = 6
+# ``verify --max-rank`` per suite, with the whole suite's time at the cap and
+# one rank above it: w0k 3 s, 100 MB (11: 15 s, 390 MB); fk 6 s, 110 MB
+# (14: 29 s, 410 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
+# (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
+# (9: 22 s); main 24 s, 470 MB (n+k = 9 squares have millions of terms);
+# binom 11 s, 220 MB (the separated 28-sets, as for ``sep``).
+VERIFY_MAX_RANK = {
+    "w0k": 10,
+    "fk": 13,
+    "base": 11,
+    "conj": 10,
+    "tc": 60,
+    "baby": 8,
+    "main": 8,
+    "binom": 28,
+}
 
 F_K_METHODS = {
     "direct": f_k_direct,
@@ -114,6 +133,8 @@ def _cmd_fk(args) -> int:
 def _check_cap(option: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{option} {value} exceeds the cap {cap}")
+    if value < 0:
+        raise ValueError(f"{option} {value} is negative")
 
 
 def _cmd_good(args) -> int:
@@ -176,6 +197,8 @@ def _cmd_mult(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    cap = min(VERIFY_MAX_RANK[name] for name in suites)
+    _check_cap(f"verify --suite {args.suite} --max-rank", args.max_rank, cap)
     reports = run_suite(suites, max_rank=args.max_rank)
     if not reports:
         print(
@@ -246,7 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--max-rank", type=int, default=6)
+    p.add_argument(
+        "--max-rank",
+        type=int,
+        default=6,
+        help="at most " + ", ".join(f"{cap} ({name})" for name, cap in VERIFY_MAX_RANK.items())
+        + f", {min(VERIFY_MAX_RANK.values())} (all)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -7,6 +7,13 @@ counts the unordered "tidy" pairs {i, j} with -w(i) < j and -w(j) < i.
 
 G_k is enumerated through its bijection with the pairs (s, F) of an involution
 s of S_k and a subset F of the fixed points of s: w = -s with F made positive.
+The statistics factor through the pair: a(w) = |F|, a(-w) = |Fix s| - |F| and
+c(w) = neat(s) + sum over j in F of #{i < j : s(i) < j}.  For a pair i < j:
+with neither end in F it is tidy in w exactly when it is neat in s (as
+``neat_count`` notes); with only i in F the condition is unchanged, since
+-w(i) = -i < j anyway; with j in F it is tidy exactly when s(i) < j, and it
+was not neat, since s(j) = j > i.  The verifier's closed form for
+T_{w_{0,k}}^2 uses this to compute the per-s parts once per involution of S_k.
 
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
 x missing one letter); ``conjugator`` and ``conjugator_omit`` give these
@@ -86,7 +93,7 @@ def neat_count(w: SignedPermutation) -> int:
     return count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoodInvolution:
     """An involution of B_k fixing each index or sending it negative."""
 

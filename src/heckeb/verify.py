@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from .combinat import (
     binomial_sum,
@@ -131,6 +133,16 @@ def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> 
 
 # -- squares of w_{0,k} ------------------------------------------------------
 
+def _involution_table(s) -> tuple[int, int, tuple[int, ...]]:
+    """(neat(s), |Fix s|, m(s)) for an involution s of S_k, where m(s) holds
+    m_j = #{i < j : s(i) < j} at each fixed point j and 0 elsewhere."""
+    m = tuple(
+        sum(1 for v in s[: j - 1] if v < j) if v_j == j else 0
+        for j, v_j in enumerate(s, start=1)
+    )
+    return neat_count(s), stat_a(s), m
+
+
 def good_involution_weights(k: int):
     """Each w in G_k, in window order, as (w, (a, a', c), weight).
 
@@ -139,26 +151,47 @@ def good_involution_weights(k: int):
     exponents must come out integral.  The weight depends only on (a, a', c),
     so it is built once per triple and the same (immutable) BivarPoly is
     shared by every w with that triple.
+
+    The statistics come from the involution s = |w| of S_k and the set
+    E = {j : w(j) = j}, a subset of Fix(s): a(w) = |E|, a(-w) = |Fix s| - |E|
+    and c(w) = neat(s) + sum over j in E of m_j(s), m_j(s) = #{i < j : s(i) < j}.
+    For c, take a pair i < j.  If neither end is in E, w = -s on both and the
+    pair is tidy in w exactly when it is neat in s.  If only i is in E, the
+    condition -w(j) = s(j) < i is that of neatness, and -w(i) = -i < j holds
+    anyway.  If j is in E, -w(j) = -j < i holds, so the pair is tidy exactly
+    when -w(i) < j, i.e. s(i) < j (-w(i) is s(i) or -i); it was not neat,
+    since s(j) = j > i.  So neat(s), |Fix s| and m(s) are computed once per
+    involution s, and each w costs a few C-level passes over its window.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     one_minus_p = ONE - P
     one_minus_q = ONE - Q
+    positions = range(1, k + 1)
+    tables = {}
     weights = {}
     for g in enumerate_good(k):
-        signature = (g.a, g.a_neg, g.c)
+        w = g.perm
+        s = tuple(map(abs, w))
+        table = tables.get(s)
+        if table is None:
+            table = tables[s] = _involution_table(s)
+        neat, fixed, m = table
+        in_e = tuple(map(eq, w, positions))
+        a = sum(in_e)
+        signature = (a, fixed - a, neat + sum(compress(m, in_e)))
         coeff = weights.get(signature)
         if coeff is None:
-            a, a_neg, c = signature
+            _, a_neg, c = signature
             if (k + a - a_neg) % 2 or (k - a - a_neg) % 2:
-                raise ArithmeticError(f"non-integer exponent for {g.perm}")
+                raise ArithmeticError(f"non-integer exponent for {w}")
             coeff = weights[signature] = (
                 P ** ((k + a - a_neg) // 2)
                 * one_minus_p**a_neg
                 * Q**c
                 * one_minus_q ** ((k - a - a_neg) // 2)
             )
-        yield g.perm, signature, coeff
+        yield w, signature, coeff
 
 
 def closed_form_w0k_square(k: int) -> HeckeElement:

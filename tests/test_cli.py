@@ -5,7 +5,15 @@ import json
 import pytest
 
 from heckeb import cli, hecke, verify, words
-from heckeb.cli import FK_MAX_K, GOOD_MAX_K, MULT_MAX_RANK, SEP_MAX_K, SQUARE_MAX_K, main
+from heckeb.cli import (
+    FK_MAX_K,
+    GOOD_MAX_K,
+    MULT_MAX_RANK,
+    SEP_MAX_K,
+    SQUARE_MAX_K,
+    VERIFY_MAX_RANK,
+    main,
+)
 from heckeb.hecke import HeckeElement, mult, t_of
 from heckeb.poly import ONE, BivarPoly
 from heckeb.signedperm import make_w_nk
@@ -100,7 +108,13 @@ class TestInputCaps:
         def refuse(*args):
             raise AssertionError("work started for an input over the cap")
 
-        for name in ("mult", "good_involution_weights", "enumerate_separated", "evaluate_word"):
+        for name in (
+            "mult",
+            "good_involution_weights",
+            "enumerate_separated",
+            "evaluate_word",
+            "run_suite",
+        ):
             monkeypatch.setattr(cli, name, refuse)
         for method in cli.F_K_METHODS:
             monkeypatch.setitem(cli.F_K_METHODS, method, refuse)
@@ -126,6 +140,36 @@ class TestInputCaps:
         assert code == 2
         assert out == ""
         assert "error" in err and str(value) in err
+
+    @pytest.mark.parametrize(
+        "suite,rank",
+        [
+            *((suite, cap + 1) for suite, cap in VERIFY_MAX_RANK.items()),
+            ("all", min(VERIFY_MAX_RANK.values()) + 1),
+            ("main", -3),
+            ("all", -1),
+            ("w0k", 30),
+        ],
+    )
+    def test_verify_rank_out_of_range_exits_2(self, capsys, suite, rank):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-rank", str(rank))
+        assert code == 2
+        assert out == ""
+        assert "error" in err and f"--max-rank {rank}" in err
+
+    def test_verify_caps_cover_every_suite(self):
+        assert set(VERIFY_MAX_RANK) == set(verify.SUITES)
+
+    @pytest.mark.parametrize(
+        "suite,rank", [("main", 7), ("w0k", 10), ("fk", 12), ("all", 6), ("main", 0)]
+    )
+    def test_verify_admits_the_benchmarked_ranks(self, monkeypatch, capsys, suite, rank):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda suites, max_rank: ran.append(max_rank) or [])
+        code, _, err = run(capsys, "verify", "--suite", suite, "--max-rank", str(rank))
+        # the stub reports no checks, so the command stops at "selects no checks"
+        assert ran == [rank]
+        assert code == 2 and "selects no checks" in err
 
 
 class TestMult:

@@ -147,6 +147,33 @@ class TestStatistics:
                 assert (k - g.a - g.a_neg) % 2 == 0
 
 
+def fixed_point_increments(s):
+    """m_j(s) = #{i < j : s(i) < j} for every fixed point j of s, by definition."""
+    k = len(s)
+    return {
+        j: sum(1 for i in range(1, j) if s[i - 1] < j)
+        for j in range(1, k + 1)
+        if s[j - 1] == j
+    }
+
+
+class TestTidyFactorisation:
+    """c(w) = neat(|w|) + sum of m_j(|w|) over the fixed points j of w."""
+
+    def test_c_splits_over_the_involution_of_s_k(self):
+        for k in range(1, 9):
+            for g in enumerate_good(k):
+                w = g.perm
+                s = SignedPermutation([abs(v) for v in w])
+                fixed_by_w = [j for j in range(1, k + 1) if w[j - 1] == j]
+                m = fixed_point_increments(s)
+                assert set(fixed_by_w) <= set(m), g
+                split = neat_count(s) + sum(m[j] for j in fixed_by_w)
+                assert stat_c(w) == split == tidy_pairs_oracle(w), g
+                assert g.a == len(fixed_by_w)
+                assert g.a_neg == len(m) - len(fixed_by_w)
+
+
 class TestNeat:
     def test_identity_has_none(self):
         for k in (2, 3, 4):

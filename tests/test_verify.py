@@ -75,6 +75,62 @@ class TestClosedForm:
         assert closed.to_json() == snapshot
 
 
+def weights_oracle(k):
+    """(w, (a, a', c), weight) per good involution, from g.a, g.a_neg and g.c."""
+    out = []
+    for g in enumerate_good(k):
+        a, a_neg, c = g.a, g.a_neg, g.c
+        weight = (
+            P ** ((k + a - a_neg) // 2)
+            * (ONE - P) ** a_neg
+            * Q**c
+            * (ONE - Q) ** ((k - a - a_neg) // 2)
+        )
+        out.append((g.perm, (a, a_neg, c), weight))
+    return out
+
+
+class TestGoodInvolutionWeights:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_per_element_oracle(self, k):
+        assert list(V.good_involution_weights(k)) == weights_oracle(k)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_matches_per_element_oracle_large(self, k):
+        assert list(V.good_involution_weights(k)) == weights_oracle(k)
+
+
+class TestBenchmarkContract:
+    """The enumeration counts perfbench pins (combinat.enumerated per check)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"enumerate_good": [], "symmetric_involutions": []}
+        for name in seen:
+            original = getattr(V, name)
+
+            def counted(k, name=name, original=original):
+                result = original(k)
+                seen[name].append(len(result))
+                return result
+
+            monkeypatch.setattr(V, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("k,size", [(1, 2), (4, 43), (6, 499)])
+    def test_w0k_enumerates_g_k_once_and_no_involutions(self, calls, k, size):
+        assert V.verify_w0k(k).passed
+        assert calls["enumerate_good"] == [size]
+        assert calls["symmetric_involutions"] == []
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_fk_enumerates_involutions_once(self, calls, k):
+        assert V.verify_fk(k).passed
+        assert len(calls["symmetric_involutions"]) == 1
+        assert calls["enumerate_good"] == []
+
+
 class TestW0k:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_pass(self, k):
