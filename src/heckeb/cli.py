@@ -54,7 +54,7 @@ SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 6 s and 175 MB; B_7 has 645,120.
+# ``w0 w0`` at rank 6 takes about 7 s and 166 MB; B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
 # one rank above it: w0k 3 s, 100 MB (11: 15 s, 390 MB); fk 6 s, 110 MB
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--expr",
         required=True,
-        help=f"word expression, multiplied out as h*T_x one maximal reduced run of letters "
+        help=f"word expression, multiplied out in one fold, one maximal reduced run of letters "
         f"at a time; each exponent times the exponents of the groups around it at most "
         f"{MAX_EXPONENT}; groups nested at most {MAX_DEPTH} deep",
     )

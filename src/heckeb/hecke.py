@@ -5,18 +5,21 @@ mapping from window to coefficient.  The generator T_t carries parameter p,
 every T_{s_i} carries q, and the defining relation is
 (T_g - 1)(T_g + param(g)) = 0.
 
-The one multiplication kernel is h * T_x: h is folded along a reduced word
-of x, and each letter either lengthens a term's window or splits it by the
-quadratic relation (Geck & Pfeiffer, Characters of Finite Coxeter Groups
-and Iwahori-Hecke Algebras, 2000).  ``mult`` is linear in its right factor:
-h1 * h2 is the sum over the terms c * T_x of h2 of (h1 * T_x) * c.  No
-multiplication table is ever materialized, inverses of basis elements are
-never formed, and coefficients stay polynomial.
+The one multiplication kernel is h * T_{x_1} * ... * T_{x_r}: h is folded
+along a reduced word of each x_i in turn, and each letter either lengthens
+a term's window or splits it by the quadratic relation (Geck & Pfeiffer,
+Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000).
+``mult`` is linear in its right factor: h1 * h2 is the sum over the terms
+c * T_x of h2 of (h1 * T_x) * c, each h1 * T_x a fold with one factor.  A
+word expression is one fold of the unit with a factor per maximal reduced
+run of its letters (``heckeb.words``).  No multiplication table is ever
+materialized, inverses of basis elements are never formed, and
+coefficients stay polynomial.
 
-Kernel representation.  Inside one h * T_x fold windows are ints and
-coefficients are ids into a pool of hash-consed BivarPoly term dicts
-(Filliatre & Conchon, "Type-safe modular hash-consing", 2006); the windows
-are decoded once, at the end:
+Kernel representation.  Inside one fold windows are ints and coefficients
+are ids into a pool of hash-consed BivarPoly term dicts (Filliatre &
+Conchon, "Type-safe modular hash-consing", 2006); h is encoded once at the
+start and the windows are decoded once, at the end:
 
 - A window is one int with a field of width (2*rank).bit_length() per
   position, holding w(i) + rank, so field order is value order.  s_i swaps
@@ -43,6 +46,12 @@ are decoded once, at the end:
 - Shared monomials.  A split shifts each monomial through a table
   monomial -> monomial * param kept across calls, so every pooled dict that
   holds a given shifted monomial holds the same tuple.
+- Pool lifetime.  One pool serves every factor of a fold.  Between factors
+  it keeps only the dicts of the ids the running product holds, and zero,
+  and clears the memos, whose entries may name a dropped id.  So the
+  intermediate coefficients of a factor live only as long as its own fold,
+  as if each factor had its own pool, while the running product is never
+  decoded and re-encoded.  A fold with one factor never compacts.
 - Decoding.  Each window is decoded per term; each id becomes one BivarPoly
   around its pooled dict, shared by every term that carries it.  BivarPoly is
   never changed in place, so sharing is safe.
@@ -224,7 +233,7 @@ def t_of(w: SignedPermutation) -> HeckeElement:
 # -- the multiplication kernel (int windows, pooled coefficients; see above) ---
 
 # The fingerprint of a pooled coefficient is its value at p = _FP_P, q = _FP_Q
-# modulo the prime _FP_MODULUS (read at every h * T_x fold).
+# modulo the prime _FP_MODULUS (read at the start of every fold).
 _FP_MODULUS = (1 << 61) - 1
 _FP_P = 0x2545F4914F6CDD1D
 _FP_Q = 0x9E3779B97F4A7C15
@@ -239,7 +248,7 @@ _TIMES_Q: dict = {}
 
 
 class _Pool:
-    """The hash-consed coefficient term dicts of one h * T_x fold.
+    """The hash-consed coefficient term dicts of one fold.
 
     ``dicts`` maps each id to a BivarPoly term dict.  A dict's id is its
     fingerprint fp, or fp + j*mod for the first j whose slot is free or holds
@@ -292,6 +301,16 @@ class _Pool:
                 x = fingerprints[m] = pow(self.fp_p, pe, mod) * pow(self.fp_q, qe, mod) % mod
             fp += v * x
         return self.intern(terms, fp % mod)
+
+    def keep(self, ids) -> None:
+        """Drop every pooled dict but those of ids and zero, and clear the
+        memos, whose entries may name a dropped id."""
+        dicts = self.dicts
+        kept = self.dicts = {i: dicts[i] for i in ids}
+        kept[0] = dicts[0]
+        self.sums.clear()
+        self.split_p.clear()
+        self.split_q.clear()
 
     def add(self, a: int, b: int) -> int:
         """The id of dicts[a] + dicts[b], memoised under (a, b)."""
@@ -386,13 +405,16 @@ def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
     return out
 
 
-def _times_t(h: HeckeElement, x: SignedPermutation) -> HeckeElement:
-    """h * T_x: h is encoded once, folded along a reduced word of x and decoded.
+def _times_ts(h: HeckeElement, xs) -> HeckeElement:
+    """h * T_{x_1} * ... * T_{x_r} in one pool: h is encoded once, folded
+    along a reduced word of each x_i in turn and decoded once.
 
-    Well-definedness over the choice of word is a consequence of the braid
-    relations (and is exercised by the tests).  The fold runs on int windows
-    and pooled coefficient ids, as described in the module docstring; h is
-    not changed.
+    Between factors the pool keeps only the ids the running product holds
+    (``_Pool.keep``), so a factor's intermediate coefficients live as long as
+    its own fold.  Well-definedness over the choice of word is a consequence
+    of the braid relations (and is exercised by the tests).  The fold runs on
+    int windows and pooled coefficient ids, as described in the module
+    docstring; h is not changed.
     """
     rank = h.rank
     width = (2 * rank).bit_length()
@@ -408,8 +430,11 @@ def _times_t(h: HeckeElement, x: SignedPermutation) -> HeckeElement:
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
         cur[key] = i
-    for g in x.reduced_word():
-        cur = _fold(cur, g, width, rank, pool)
+    for j, x in enumerate(xs):
+        if j:
+            pool.keep(cur.values())
+        for g in x.reduced_word():
+            cur = _fold(cur, g, width, rank, pool)
 
     # Decode each window per term and each coefficient id once: every term
     # with the same id shares one BivarPoly around the pooled dict.
@@ -432,13 +457,14 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra, linear in h2: the sum over the terms
     c * T_x of h2 of (h1 * T_x) * c.
 
-    Each h1 * T_x is one fold (``_times_t``); a right factor T_x with
-    coefficient 1 is that fold alone.  Neither factor is changed.
+    Each h1 * T_x is one fold (``_times_ts`` with the one factor x); a right
+    factor T_x with coefficient 1 is that fold alone.  Neither factor is
+    changed.
     """
     h1._check_rank(h2)
     out = HeckeElement._raw(h1.rank, {})
     for x, c in h2._terms.items():
-        term = _times_t(h1, x)
+        term = _times_ts(h1, (x,))
         if c != ONE:
             term = term.scale(c)
         out = out + term if out._terms else term

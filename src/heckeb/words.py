@@ -12,17 +12,20 @@ Parsing and printing are mutually inverse on canonical forms; unknown or
 malformed input is rejected with the byte offset of the offending token.
 
 Evaluation flattens the expression to its letters (a reduced word per
-token, a factor's letters repeated per unit of its exponent) and multiplies
-the running product by T_x once per maximal reduced run x of letters, so
-every product is h * T_x, the one kernel of ``heckeb.hecke``.  Each letter
-costs more as the coefficient degrees grow, so exponents are capped at
-MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at rank 3 takes about 0.8 s
-and 40 MB in a fresh process on a 2-vCPU host.  Nested exponents multiply:
-a factor's exponent times the exponents of every group around it is also
-capped at MAX_EXPONENT, so ``( ( t s1 )^32 )^4`` is refused at its ``4``,
-and ``( ( t s1 s2 )^16 )^2`` has the letters of ``( t s1 s2 )^32`` and
-about its time.  Groups nest at most MAX_DEPTH deep; printing, hashing and
-flattening recurse once per level.
+token, a factor's letters repeated per unit of its exponent), cuts them
+into maximal reduced runs and makes one call of the kernel of
+``heckeb.hecke``: the unit folded by T_x for each run x in turn.  The
+running product is encoded once and decoded once, and between runs the
+kernel's pool keeps only the coefficients the product still holds, so a
+run's intermediate coefficients live only as long as its own fold.  Each
+letter costs more as the coefficient degrees grow, so exponents are capped
+at MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at rank 3 takes about
+0.8 s and 41 MB in a fresh process on a 2-vCPU host.  Nested exponents
+multiply: a factor's exponent times the exponents of every group around it
+is also capped at MAX_EXPONENT, so ``( ( t s1 )^32 )^4`` is refused at its
+``4``, and ``( ( t s1 s2 )^16 )^2`` has the letters of ``( t s1 s2 )^32``
+and about its time.  Groups nest at most MAX_DEPTH deep; printing, hashing
+and flattening recurse once per level.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .hecke import HeckeElement, mult, t_of
+# Evaluation never calls mult; the name stays a module attribute because the
+# traced benchmark run (perfbench/spans.py) wraps words.mult.
+from .hecke import HeckeElement, _times_ts, mult, unit  # noqa: F401
 from .signedperm import identity, make_cycle, make_w_nk
 
 __all__ = [
@@ -282,15 +287,17 @@ def evaluate_word(expr: WordExpression, rank: int) -> HeckeElement:
 
     The letters are cut into maximal reduced runs: a run's group element x
     grows while each letter lengthens it, and a letter that would shorten it
-    starts the next run.  The first run gives T_x and each later run one
-    product ``mult(result, t_of(x))``, so every right factor is one basis
-    element with coefficient 1.  With no letters the result is the unit.
+    starts the next run.  The result is one pooled fold of the unit along
+    the runs, ``_times_ts(unit(rank), runs)``: the running product is encoded
+    and decoded once, and between runs the pool keeps only the coefficients
+    the product still holds.  With no letters the result is the unit.
     """
-    result = None
+    runs = []
     x = identity(rank)
     for g in _letters(expr, rank):
         if x[0] < 0 if g == 0 else x[g - 1] > x[g]:  # g shortens x: the run ends
-            result = t_of(x) if result is None else mult(result, t_of(x))
+            runs.append(x)
             x = identity(rank)
         x = x.apply_right(g)
-    return t_of(x) if result is None else mult(result, t_of(x))
+    runs.append(x)
+    return _times_ts(unit(rank), runs)

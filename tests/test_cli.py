@@ -239,15 +239,26 @@ class TestUsage:
 class TestRightFactors:
     def test_every_product_has_a_one_term_right_factor(self, capsys, monkeypatch):
         right = []
+        folds = []
 
         def recording_mult(h1, h2):
             right.append(h2)
             return mult(h1, h2)
 
-        for module in (hecke, verify, words, cli):
+        def recording_times_ts(h, xs):
+            folds.append(h)
+            return hecke._times_ts(h, xs)
+
+        for module in (hecke, verify, cli):
             monkeypatch.setattr(module, "mult", recording_mult)
+        monkeypatch.setattr(words, "_times_ts", recording_times_ts)
         assert run(capsys, "verify", "--suite", "all", "--max-rank", "4")[0] == 0
         assert run(capsys, "square-w0k", "--k", "3")[0] == 0
+        assert right and all(len(h2._terms) == 1 and ONE in h2._terms.values() for h2 in right)
+        assert not folds
+        # a word expression is one pooled fold of the unit, with no mult call
+        right.clear()
         assert run(capsys, "mult", "--rank", "4", "--expr", "c(1,2) w0 ( t s2 )^3 w_nk(1,3)")[0] == 0
         assert run(capsys, "mult", "--rank", "3", "--expr", "( ( t s1 )^3 s2 )^4 w0^0")[0] == 0
-        assert right and all(len(h2._terms) == 1 and ONE in h2._terms.values() for h2 in right)
+        assert not right
+        assert folds == [hecke.unit(4), hecke.unit(3)]

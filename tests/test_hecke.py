@@ -623,3 +623,76 @@ class TestPool:
         for (pe, qe), fp in table.items():
             assert fp == pow(hecke._FP_P, pe, mod) * pow(hecke._FP_Q, qe, mod) % mod
         assert square == oracle_mult(t_of(w), t_of(w))
+
+
+@st.composite
+def fold_chains(draw):
+    """(h, xs): an element of rank 1-4 with two to four terms and small
+    random coefficients, and one to four random elements of the same rank."""
+    rank = draw(st.integers(1, 4))
+    coeff = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), min_size=1, max_size=3
+    ).filter(any)
+    terms = draw(st.dictionaries(st.sampled_from(_POOLS[rank]), coeff, min_size=2, max_size=4))
+    xs = draw(st.lists(st.sampled_from(_POOLS[rank]), min_size=1, max_size=4))
+    return HeckeElement(rank, {w: BivarPoly(c) for w, c in terms.items()}), xs
+
+
+def chained_mult(h, xs):
+    for x in xs:
+        h = mult(h, t_of(x))
+    return h
+
+
+class TestPooledFold:
+    """_times_ts folds h along several factors in one pool, keeping only the
+    live coefficients between factors."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(fold_chains())
+    def test_matches_chained_products(self, chain):
+        h, xs = chain
+        assert hecke._times_ts(h, xs) == chained_mult(h, xs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fold_chains())
+    def test_matches_chained_products_when_every_fingerprint_collides(self, chain):
+        # every id is 0 + j * 1, so keep leaves holes in the collision chain
+        h, xs = chain
+        expected = chained_mult(h, xs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke, "_FP_MODULUS", 1)
+            assert hecke._times_ts(h, xs) == expected
+
+    def test_keep_holds_exactly_the_live_ids(self, monkeypatch):
+        keep = hecke._Pool.keep
+        sizes = []
+
+        def checking_keep(pool, ids):
+            ids = list(ids)
+            before = dict(pool.dicts)
+            assert pool.sums and pool.split_p and pool.split_q
+            keep(pool, ids)
+            assert set(pool.dicts) == set(ids) | {0}
+            assert all(pool.dicts[i] is before[i] for i in pool.dicts)
+            assert not pool.sums and not pool.split_p and not pool.split_q
+            sizes.append((len(before), len(pool.dicts)))
+
+        monkeypatch.setattr(hecke._Pool, "keep", checking_keep)
+        w0 = identity(3).negate()
+        h = t_of(w0)
+        product = hecke._times_ts(h, [w0, w0, w0])
+        assert len(sizes) == 2
+        assert all(after < before for before, after in sizes)
+        assert product == chained_mult(h, [w0, w0, w0])
+
+    def test_one_factor_never_compacts(self, monkeypatch):
+        calls = []
+        keep = hecke._Pool.keep
+        monkeypatch.setattr(hecke._Pool, "keep", lambda pool, ids: calls.append(1) or keep(pool, ids))
+        w = make_w_nk(1, 3)
+        mult(t_of(w), t_of(w))
+        mult(HeckeElement(4, {w: ONE + P, identity(4): Q}), t_of(w))
+        assert not calls
+        hecke._times_ts(t_of(w), [w, w])
+        assert calls == [1]

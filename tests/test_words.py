@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from heckeb import words
+from heckeb import hecke, words
 from heckeb.hecke import mult, t_of, unit
-from heckeb.poly import ONE
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb.words import (
     MAX_DEPTH,
@@ -184,7 +183,7 @@ class TestEvaluate:
 
 
 class TestReducedRuns:
-    """Evaluation multiplies by one basis element per maximal reduced run."""
+    """Evaluation is one pooled fold of the unit, one factor per maximal reduced run."""
 
     def test_expressions_cover_every_feature(self):
         texts = [text for _, text, _ in EXPRESSIONS]
@@ -194,22 +193,19 @@ class TestReducedRuns:
 
     @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
     def test_every_right_factor_is_one_run(self, monkeypatch, rank, text, letters):
-        right = []
+        calls = []
 
-        def recording_mult(h1, h2):
-            right.append(h2)
-            return mult(h1, h2)
+        def recording_times_ts(h, xs):
+            xs = list(xs)
+            calls.append((h, xs))
+            return hecke._times_ts(h, xs)
 
-        monkeypatch.setattr(words, "mult", recording_mult)
+        monkeypatch.setattr(words, "_times_ts", recording_times_ts)
         evaluate_word(parse_word(text), rank)
-        factors = []
-        for h2 in right:
-            ((x, c),) = h2._terms.items()
-            assert c == ONE
-            factors.append(x)
-        runs = maximal_runs(letters, rank)
-        assert factors == runs[1:]
-        assert runs[0].length() + sum(x.length() for x in factors) == len(letters)
+        ((h, factors),) = calls
+        assert h == unit(rank)
+        assert factors == maximal_runs(letters, rank)
+        assert sum(x.length() for x in factors) == len(letters)
 
     @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
     def test_matches_letter_by_letter_product(self, rank, text, letters):
