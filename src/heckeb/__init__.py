@@ -7,8 +7,6 @@ principles.
 """
 
 from .combinat import (
-    GoodInvolution,
-    SeparatedSet,
     binomial_sum,
     count_separated,
     enumerate_good,
@@ -20,7 +18,6 @@ from .combinat import (
 )
 from .hecke import (
     HeckeElement,
-    ParabolicDecomposition,
     distinguished_factor,
     mult,
     parabolic_decompose,
@@ -60,13 +57,10 @@ from .words import WordExpression, evaluate_word, parse_word
 __all__ = [
     "BivarPoly",
     "CyclotomicModulus",
-    "GoodInvolution",
     "HeckeElement",
     "ONE",
     "P",
-    "ParabolicDecomposition",
     "Q",
-    "SeparatedSet",
     "SignedPermutation",
     "VerificationReport",
     "WordExpression",

@@ -28,6 +28,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 
 from .combinat import count_separated, enumerate_separated
 from .hecke import HeckeElement, mult, t_of
@@ -47,21 +48,22 @@ from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, pars
 # and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 5 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
-# ``good`` about 1.5 s and 80 MB, 2 s with --json (k = 11 has four times as
-# many rows); and ``sep`` about 10 s and 210 MB (each step of 2 in k costs
-# about 2.7x).
+# ``good`` about 2 s and 72 MB, 2.7 s with --json (k = 11 has four times as
+# many rows); and ``sep`` about 6 s and 150 MB, 9 s with --json (each step of
+# 2 in k costs about 2.7x).
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 7 s and 166 MB; B_7 has 645,120.
+# ``w0 w0`` at rank 6 takes about 4 s and 166 MB (33 s and 231 MB with --json);
+# B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 3 s, 100 MB (11: 15 s, 390 MB); fk 6 s, 110 MB
+# one rank above it: w0k 3 s, 85 MB (11: 15 s, 345 MB); fk 6 s, 110 MB
 # (14: 29 s, 410 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
 # (9: 22 s); main 24 s, 470 MB (n+k = 9 squares have millions of terms);
-# binom 11 s, 220 MB (the separated 28-sets, as for ``sep``).
+# binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
 VERIFY_MAX_RANK = {
     "w0k": 10,
     "fk": 13,
@@ -82,13 +84,17 @@ FK_MAX_K = {"direct": 13, "recurrence": 90, "separated": 21}
 
 
 def _print_element(h: HeckeElement) -> None:
-    terms = h.sorted_terms()
+    terms = [(str(w), c) for w, c in h.sorted_terms()]
     if not terms:
         print("0")
         return
-    width = max(len(str(w)) for w, _ in terms)
+    width = max(len(w) for w, _ in terms)
+    texts = {}  # id(c) -> str(c): terms share one BivarPoly per distinct coefficient
     for w, c in terms:
-        print(f"T{str(w):<{width}}  {c}")
+        text = texts.get(id(c))
+        if text is None:
+            text = texts[id(c)] = str(c)
+        print(f"T{w:<{width}}  {text}")
 
 
 def _emit_json(payload) -> None:
@@ -160,22 +166,16 @@ def _cmd_good(args) -> int:
 def _cmd_sep(args) -> int:
     _check_cap("sep --k", args.k, SEP_MAX_K)
     sets = enumerate_separated(args.k)
-    sizes = sorted({len(s) for s in sets})
+    by_size = Counter(map(len, sets))
     counts = [
-        {"size": i, "count": sum(1 for s in sets if len(s) == i), "formula": count_separated(args.k, i)}
-        for i in sizes
+        {"size": i, "count": by_size[i], "formula": count_separated(args.k, i)}
+        for i in sorted(by_size)
     ]
     if args.json:
-        _emit_json(
-            {
-                "k": args.k,
-                "sets": [list(s.members) for s in sets],
-                "counts": counts,
-            }
-        )
+        _emit_json({"k": args.k, "sets": sets, "counts": counts})
         return 0
     for s in sets:
-        print(s)
+        print("{" + ",".join(map(str, s)) + "}")
     print("counts by size: " + ", ".join(f"{c['size']}: {c['count']} (formula {c['formula']})" for c in counts))
     return 0
 

@@ -22,19 +22,22 @@ elements, and the verifier checks the conjugation expansion they drive.
 Separated k-sets are the subsets of {0, ..., k-1} whose pairwise differences
 lie strictly between 1 and k-1; they index a closed form for the polynomials
 f_k computed in the verifier.
+
+Both enumerators return plain values, good by construction: a good
+involution is its SignedPermutation window and a separated set is the
+increasing tuple of its members.  The definitions they meet are tested
+predicates (``is_good`` and ``pairwise_separated`` in ``tests/oracles.py``),
+not checks repeated on every value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .signedperm import SignedPermutation, generator
 
 __all__ = [
-    "GoodInvolution",
-    "SeparatedSet",
     "enumerate_good",
     "stat_a",
     "stat_d",
@@ -93,46 +96,6 @@ def neat_count(w: SignedPermutation) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class GoodInvolution:
-    """An involution of B_k fixing each index or sending it negative."""
-
-    perm: SignedPermutation
-
-    def __post_init__(self):
-        # each w(i) = i, or w(i) < 0 and w(-w(i)) = -i: an involution, non-fixed values negative
-        w = self.perm
-        for i, v in enumerate(w, start=1):
-            if v != i and (v > 0 or w[-v - 1] != -i):
-                raise ValueError(f"{w} is not a good involution: w({i}) = {v}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
-    @property
-    def a(self) -> int:
-        return stat_a(self.perm)
-
-    @property
-    def a_neg(self) -> int:
-        """Fixed points of -w, i.e. indices with w(i) = -i."""
-        return sum(1 for i, v in enumerate(self.perm, start=1) if v == -i)
-
-    @property
-    def c(self) -> int:
-        return stat_c(self.perm)
-
-    def d(self, i: int) -> int:
-        return stat_d(i, self.perm)
-
-    def embed(self, rank: int) -> "GoodInvolution":
-        return GoodInvolution(self.perm.embed(rank))
-
-    def __str__(self):
-        return str(self.perm)
-
-
 def symmetric_involutions(k: int) -> list[SignedPermutation]:
     """All involutions of S_k as sign-positive windows, in window order: one
     backtracking fill pairs the first open position i with each open j >= i in
@@ -159,15 +122,15 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
     return out
 
 
-def enumerate_good(k: int) -> list[GoodInvolution]:
-    """All of G_k, from the involutions s of S_k: -s with any subset of the
-    fixed points of s made positive again.  Sorted by window."""
+def enumerate_good(k: int) -> list[SignedPermutation]:
+    """All of G_k as windows, from the involutions s of S_k: -s with any
+    subset of the fixed points of s made positive again.  Sorted by window."""
     out = []
     for s in symmetric_involutions(k):
         choices = [(v, -v) if v == i else (-v,) for i, v in enumerate(s, start=1)]
         for window in itertools.product(*choices):
-            out.append(GoodInvolution(tuple.__new__(SignedPermutation, window)))
-    out.sort(key=lambda g: g.perm)
+            out.append(tuple.__new__(SignedPermutation, window))
+    out.sort()
     return out
 
 
@@ -194,48 +157,24 @@ def conjugator_omit(i: int, k: int) -> SignedPermutation:
 
 # -- separated sets ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparatedSet:
-    """A subset of {0..k-1} with pairwise differences strictly between 1 and k-1."""
-
-    k: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        ms = self.members
-        if list(ms) != sorted(set(ms)):
-            raise ValueError("members must be strictly increasing")
-        if ms and not (0 <= ms[0] and ms[-1] < self.k):
-            raise ValueError(f"members out of range 0..{self.k - 1}")
-        # sorted: the smallest difference is a consecutive gap, the largest the span
-        for a, b in zip(ms, ms[1:]):
-            if b - a < 2 or b - ms[0] > self.k - 2:
-                raise ValueError(f"{self} violates separation for k = {self.k}")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __str__(self):
-        return "{" + ",".join(str(v) for v in self.members) + "}"
-
-
-def enumerate_separated(k: int) -> list[SeparatedSet]:
-    """All separated k-sets, by backtracking; sorted by (size, members)."""
+def enumerate_separated(k: int) -> list[tuple[int, ...]]:
+    """All separated k-sets as increasing member tuples, by backtracking;
+    sorted by (size, members)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = [SeparatedSet(k, ())]
-
-    def extend(chosen: tuple[int, ...], start: int, stop: int):
-        # start = last member + 2 keeps gaps above 1; stop keeps the span below k - 1
+    out = [()]
+    # (set, start, stop): the next member is drawn from range(start, stop);
+    # start = last member + 2 keeps gaps above 1, stop keeps the span below k - 1.
+    # A stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep ``out`` alive until the cyclic collector runs.
+    todo = [((), 0, k)]
+    while todo:
+        chosen, start, stop = todo.pop()
         for v in range(start, stop):
             cur = chosen + (v,)
-            out.append(SeparatedSet(k, cur))
-            extend(cur, v + 2, min(stop, cur[0] + k - 1))
-
-    extend((), 0, k)
-    out.sort(key=lambda s: (len(s.members), s.members))
+            out.append(cur)
+            todo.append((cur, v + 2, min(stop, cur[0] + k - 1)))
+    out.sort(key=lambda s: (len(s), s))
     return out
 
 

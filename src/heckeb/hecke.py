@@ -55,11 +55,18 @@ start and the windows are decoded once, at the end:
 - Decoding.  Each window is decoded per term; each id becomes one BivarPoly
   around its pooled dict, shared by every term that carries it.  BivarPoly is
   never changed in place, so sharing is safe.
+
+Cosets.  The parabolic subgroup B_n x S_k is handled by one closed form per
+coset pattern (``_coset_form``): ``distinguished_factor`` splits a window,
+``parabolic_decompose`` returns the plain dict {x: component} keyed by the
+minimal representatives it builds, and ``trivial_quotient`` reads
+membership in B_n x S_k off the same pattern.  The keys are not checked
+again; the tests hold them to the Bjorner-Brenti condition on every element
+of B_1..B_5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
 
@@ -68,7 +75,6 @@ from .signedperm import SignedPermutation, identity, make_w_nk
 
 __all__ = [
     "HeckeElement",
-    "ParabolicDecomposition",
     "t_of",
     "unit",
     "mult",
@@ -203,12 +209,16 @@ class HeckeElement:
         return f"HeckeElement(rank={self.rank}, {len(self._terms)} terms)"
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "terms": [
-                {"w": list(w), "coeff": c.to_json()} for w, c in self.sorted_terms()
-            ],
-        }
+        """The terms in ``sorted_terms`` order; terms that share a coefficient
+        object share its one encoded list, so treat the result as read-only."""
+        encoded: dict = {}  # id(c) -> c.to_json(); self keeps every c alive
+        terms = []
+        for w, c in self.sorted_terms():
+            coeff = encoded.get(id(c))
+            if coeff is None:
+                coeff = encoded[id(c)] = c.to_json()
+            terms.append({"w": list(w), "coeff": coeff})
+        return {"rank": self.rank, "terms": terms}
 
     @classmethod
     def from_json(cls, data) -> "HeckeElement":
@@ -532,36 +542,12 @@ def distinguished_factor(
     return tuple.__new__(SignedPermutation, map(mul, signs, pick(w))), x
 
 
-def is_distinguished(x: SignedPermutation, n: int, k: int) -> bool:
-    """True iff x is the minimal-length element of its coset (B_n x S_k) x.
-
-    That is, x is its own closed-form representative (Bjorner & Brenti, Section 2.4):
-    x^-1 is positive and increasing on positions 1..n and increasing on
-    positions n+1..n+k.
-    """
-    return distinguished_factor(x, n, k)[1] == x
-
-
-@dataclass(frozen=True)
-class ParabolicDecomposition:
-    """A Hecke element regrouped as sum_x (component_x) * T_x over coset representatives.
-
-    Components are supported on the parabolic subgroup B_n x S_k; keys are
-    checked to be distinguished representatives on construction.
-    """
-
-    n: int
-    k: int
-    components: dict[SignedPermutation, HeckeElement]
-
-    def __post_init__(self):
-        for x in self.components:
-            if not is_distinguished(x, self.n, self.k):
-                raise ValueError(f"{x} is not a distinguished representative")
-
-
-def parabolic_decompose(h: HeckeElement, n: int, k: int) -> ParabolicDecomposition:
-    """Group the terms of h by their distinguished factorization.
+def parabolic_decompose(
+    h: HeckeElement, n: int, k: int
+) -> dict[SignedPermutation, HeckeElement]:
+    """Regroup h as sum_x (component_x) * T_x over the minimal representatives
+    x of the cosets (B_n x S_k) x, returned as {x: component_x}; each
+    component is supported on B_n x S_k.
 
     The factorization is built once per coset pattern (``_coset_form``) and
     applied to each term by C-level maps over its window.
@@ -581,9 +567,7 @@ def parabolic_decompose(h: HeckeElement, n: int, k: int) -> ParabolicDecompositi
             form = forms[pattern] = (pick, signs, buckets.setdefault(x, {}))
         pick, signs, terms = form
         terms[new(SignedPermutation, map(mul, signs, pick(w)))] = c
-    return ParabolicDecomposition(
-        n, k, {x: HeckeElement._raw(h.rank, terms) for x, terms in buckets.items()}
-    )
+    return {x: HeckeElement._raw(h.rank, terms) for x, terms in buckets.items()}
 
 
 def trivial_quotient(h: HeckeElement, n: int, k: int) -> HeckeElement:
@@ -621,5 +605,4 @@ def z_coefficient(n: int, k: int) -> HeckeElement:
     """
     w = make_w_nk(n, k)
     square = mult(t_of(w), t_of(w))
-    dec = parabolic_decompose(square, n, k)
-    return dec.components.get(w, HeckeElement._raw(n + k, {}))
+    return parabolic_decompose(square, n, k).get(w, HeckeElement._raw(n + k, {}))

@@ -26,6 +26,7 @@ from .combinat import (
     enumerate_separated,
     neat_count,
     stat_a,
+    stat_d,
     symmetric_involutions,
 )
 from .hecke import (
@@ -170,8 +171,7 @@ def good_involution_weights(k: int):
     positions = range(1, k + 1)
     tables = {}
     weights = {}
-    for g in enumerate_good(k):
-        w = g.perm
+    for w in enumerate_good(k):
         s = tuple(map(abs, w))
         table = tables.get(s)
         if table is None:
@@ -196,8 +196,11 @@ def good_involution_weights(k: int):
 
 def closed_form_w0k_square(k: int) -> HeckeElement:
     """The combinatorial expansion of T_{w_{0,k}}^2 over good involutions:
-    sum over w in G_k of the weight from good_involution_weights times T_w."""
-    return HeckeElement(k, {w: coeff for w, _, coeff in good_involution_weights(k)})
+    sum over w in G_k of the weight from good_involution_weights times T_w.
+
+    The windows are distinct rank-k SignedPermutations and every weight is a
+    nonzero BivarPoly, so the terms go in unchecked."""
+    return HeckeElement._raw(k, {w: coeff for w, _, coeff in good_involution_weights(k)})
 
 
 def verify_w0k(k: int) -> VerificationReport:
@@ -258,10 +261,10 @@ def f_k_separated(k: int) -> BivarPoly:
     one_minus_p = ONE - P
     total = BivarPoly(0)
     for s in enumerate_separated(k):
-        if 0 in s.members:
+        if 0 in s:
             continue
         term = P ** len(s) * one_minus_p ** (k - 2 * len(s))
-        for v in s.members:
+        for v in s:
             term = term * (ONE - Q**v)
         total = total + term
     return total
@@ -325,18 +328,18 @@ def verify_conj_lemma(k: int) -> VerificationReport:
     one_minus_p = ONE - P
     one_minus_q = ONE - Q
     mism = []
-    for g in enumerate_good(k):
-        w1 = g.perm.embed(k + 1)
+    for w in enumerate_good(k):
+        w1 = w.embed(k + 1)
         engine = mult(mult(tx, t_of(w1)), tx_inv)
         base = x * w1 * x_inv
-        qa = Q**g.a
+        qa = Q ** stat_a(w)
         terms = {base: P * qa, base * t_top: one_minus_p * qa}
         for j in range(1, k + 1):
-            if g.perm[j - 1] == j:
+            if w[j - 1] == j:
                 key = x * w1 * conjugator_omit(j, k).inverse()
-                terms[key] = one_minus_q * Q ** g.d(j)
+                terms[key] = one_minus_q * Q ** stat_d(j, w)
         expected = HeckeElement(k + 1, terms)
-        found = _hecke_mismatches(engine, expected, label=f"w={g.perm} ")
+        found = _hecke_mismatches(engine, expected, label=f"w={w} ")
         mism.extend(found)
         if len(mism) >= WITNESS_LIMIT:
             break

@@ -2,6 +2,8 @@
 ``heckeb.hecke`` decides by one closed form.  They live here rather than in
 the library, which keeps one home for each decision."""
 
+import itertools
+
 from heckeb.poly import BivarPoly
 
 # -- signed permutations --------------------------------------------------------
@@ -20,6 +22,19 @@ def right_descent(w, g: int) -> bool:
 
 def descents(w) -> list[int]:
     return [g for g in range(len(w)) if right_descent(w, g)]
+
+
+# -- good involutions and separated sets -----------------------------------------
+
+
+def is_good(w) -> bool:
+    """w lies in G_k: an involution whose every value is fixed or negative."""
+    return is_involution(w) and all(v == i or v < 0 for i, v in enumerate(w, start=1))
+
+
+def pairwise_separated(k: int, members) -> bool:
+    """Every pair of members differs by strictly between 1 and k - 1."""
+    return all(1 < b - a < k - 1 for a, b in itertools.combinations(members, 2))
 
 
 # -- polynomials ------------------------------------------------------------------
@@ -53,4 +68,17 @@ def in_parabolic(w, n: int, k: int) -> bool:
     to positive values above n."""
     return not (
         any(abs(w[i]) > n for i in range(n)) or any(w[i] <= n for i in range(n, n + k))
+    )
+
+
+def is_min_representative(x, n: int, k: int) -> bool:
+    """x is the minimal-length element of its coset (B_n x S_k) x, read on x^-1
+    directly (Bjorner & Brenti, Combinatorics of Coxeter Groups, Section 2.4):
+    x^-1 is positive and increasing on 1..n and increasing on n+1..n+k."""
+    if len(x) != n + k:
+        raise ValueError(f"rank mismatch: {len(x)} vs n + k = {n + k}")
+    u = x.inverse()
+    small, large = (0,) + u[:n], u[n:]  # the leading 0 makes u(1) > 0 part of "increasing"
+    return all(a < b for a, b in zip(small, small[1:])) and all(
+        a < b for a, b in zip(large, large[1:])
     )

@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from heckeb.combinat import enumerate_good
+from heckeb.combinat import enumerate_good, stat_a, stat_c, stat_d
 from heckeb.hecke import (
     HeckeElement,
     mult,
@@ -108,31 +108,33 @@ def test_criterion_09_succ_partition_and_transport():
     ok = True
     for k in range(1, 7):
         image = []
-        for g in enumerate_good(k):
-            successors = succ(g)
-            ok = ok and len(successors) == 2 + g.a
-            image.extend(s.perm for s in successors)
+        for w in enumerate_good(k):
+            successors = succ(w)
+            ok = ok and len(successors) == 2 + stat_a(w)
+            image.extend(successors)
         ok = ok and len(image) == len(set(image))
-        ok = ok and sorted(image) == [s.perm for s in enumerate_good(k + 1)]
+        ok = ok and sorted(image) == enumerate_good(k + 1)
     from heckeb.combinat import conjugator
 
     for k in range(1, 7):
         x = conjugator(k)
         t_top = generator(0, k + 1)
         for g in enumerate_good(k):
-            base = x * g.perm.embed(k + 1) * x.inverse()
-            for s in succ(g):
-                if s.perm == base:
-                    ok = ok and s.a == g.a + 1 and s.a_neg == g.a_neg
-                    ok = ok and s.c == g.c + g.a
-                elif s.perm == base * t_top:
-                    ok = ok and s.a == g.a and s.a_neg == g.a_neg + 1
-                    ok = ok and s.c == g.c + g.a
+            base = x * g.embed(k + 1) * x.inverse()
+            a, a_neg, c = stat_a(g), stat_a(g.negate()), stat_c(g)
+            for w in succ(g):
+                s_a, s_a_neg, s_c = stat_a(w), stat_a(w.negate()), stat_c(w)
+                if w == base:
+                    ok = ok and s_a == a + 1 and s_a_neg == a_neg
+                    ok = ok and s_c == c + a
+                elif w == base * t_top:
+                    ok = ok and s_a == a and s_a_neg == a_neg + 1
+                    ok = ok and s_c == c + a
                 else:
-                    i = -s.perm[0] - 1
-                    ok = ok and g.perm[i - 1] == i
-                    ok = ok and s.a == g.a - 1 and s.a_neg == g.a_neg
-                    ok = ok and s.c == g.c + g.d(i)
+                    i = -w[0] - 1
+                    ok = ok and g[i - 1] == i
+                    ok = ok and s_a == a - 1 and s_a_neg == a_neg
+                    ok = ok and s_c == c + stat_d(i, g)
     _criterion(9, ok, "G_{k+1} partitions into successor sets with statistics transport, k<=6")
 
 

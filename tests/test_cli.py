@@ -182,6 +182,15 @@ class TestMult:
         for w, c in element.sorted_terms():
             assert str(c) in table
 
+    def test_table_formats_each_term(self, capsys):
+        # many terms share one coefficient object, which the table formats once
+        expr = "w_nk(0,3)^2"
+        _, table, _ = run(capsys, "mult", "--rank", "3", "--expr", expr)
+        terms = words.evaluate_word(words.parse_word(expr), 3).sorted_terms()
+        assert len({id(c) for _, c in terms}) < len({str(w) for w, _ in terms})
+        width = max(len(str(w)) for w, _ in terms)
+        assert table.splitlines() == [f"T{str(w):<{width}}  {c}" for w, c in terms]
+
     def test_bad_expression_exits_2(self, capsys):
         code, _, err = run(capsys, "mult", "--rank", "2", "--expr", "t %")
         assert code == 2

@@ -5,8 +5,6 @@ import itertools
 import pytest
 
 from heckeb.combinat import (
-    GoodInvolution,
-    SeparatedSet,
     binomial_sum,
     conjugator,
     count_separated,
@@ -26,18 +24,12 @@ from heckeb.signedperm import (
 )
 
 from combinat_helpers import pred, shift_separated, succ
-from oracles import is_involution
+from oracles import is_good, is_involution, pairwise_separated
 
 
 def good_involutions_filter(k):
     """Oracle: G_k by exhaustive filtering of all 2^k k! elements of B_k."""
-    out = [
-        GoodInvolution(w)
-        for w in all_elements(k)
-        if all(v == i or v < 0 for i, v in enumerate(w, start=1)) and is_involution(w)
-    ]
-    out.sort(key=lambda g: g.perm)
-    return out
+    return sorted(w for w in all_elements(k) if is_good(w))
 
 
 def tidy_pairs_oracle(w):
@@ -50,15 +42,10 @@ def tidy_pairs_oracle(w):
     return count
 
 
-def pairwise_separated(k, members):
-    """The definition: every pair differs by strictly between 1 and k - 1."""
-    return all(1 < b - a < k - 1 for a, b in itertools.combinations(members, 2))
-
-
 def separated_filter(k):
     """Oracle: the separated k-sets among all subsets, sorted by (size, members)."""
     return [
-        SeparatedSet(k, ms)
+        ms
         for size in range(k + 1)
         for ms in itertools.combinations(range(k), size)
         if pairwise_separated(k, ms)
@@ -80,27 +67,24 @@ class TestEnumerateGood:
         assert [len(enumerate_good(k)) for k in range(1, 7)] == [2, 5, 14, 43, 142, 499]
 
     def test_members_embed_upward(self):
-        for g in enumerate_good(3):
-            assert g.embed(4) in set(enumerate_good(4))
+        for w in enumerate_good(3):
+            assert w.embed(4) in set(enumerate_good(4))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GoodInvolution(SignedPermutation([2, 1]))  # positive non-fixed value
-        with pytest.raises(ValueError):
-            GoodInvolution(SignedPermutation([-2, 1]))  # not an involution
+        # the oracle is_good, which the exhaustive filter above uses
+        assert is_good(SignedPermutation([-2, -1]))
+        assert not is_good(SignedPermutation([2, 1]))  # positive non-fixed value
+        assert not is_good(SignedPermutation([-2, 1]))  # not an involution
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_validation_matches_definition(self, k):
-        # accepted iff an involution with every value fixed or negative
+        # is_good agrees with the one-pass form: each w(i) = i, or w(i) < 0
+        # and w(-w(i)) = -i
         for w in all_elements(k):
-            good = is_involution(w) and all(v == i or v < 0 for i, v in enumerate(w, start=1))
-            try:
-                g = GoodInvolution(w)
-            except ValueError:
-                assert not good, w
-            else:
-                assert good, w
-                assert g.a_neg == stat_a(w.negate())
+            paired = all(v == i or (v < 0 and w[-v - 1] == -i) for i, v in enumerate(w, start=1))
+            assert is_good(w) == paired, w
+            if paired:  # a(-w) counts the values with w(i) = -i
+                assert stat_a(w.negate()) == sum(1 for i, v in enumerate(w, start=1) if v == -i)
 
     def test_negative_k_rejected(self):
         for enumerate_ in (enumerate_good, symmetric_involutions):
@@ -115,8 +99,8 @@ class TestStatistics:
             assert stat_a(identity(k).negate()) == 0
 
     def test_d_zero_equals_a(self):
-        for g in enumerate_good(4):
-            assert g.d(0) == g.a
+        for w in enumerate_good(4):
+            assert stat_d(0, w) == stat_a(w)
 
     def test_d_range_error(self):
         with pytest.raises(ValueError):
@@ -126,8 +110,8 @@ class TestStatistics:
 
     def test_c_brute_force(self):
         for k in range(1, 9):
-            for g in enumerate_good(k):
-                assert stat_c(g.perm) == tidy_pairs_oracle(g.perm), g
+            for w in enumerate_good(k):
+                assert stat_c(w) == tidy_pairs_oracle(w), w
 
     @pytest.mark.parametrize("rank", range(0, 6))
     def test_c_matches_pair_scan_on_all_elements(self, rank):
@@ -142,9 +126,10 @@ class TestStatistics:
     def test_parity_of_exponents(self):
         # both closed-form exponents (k +/- a - a_neg)/2 must be integers
         for k in range(1, 7):
-            for g in enumerate_good(k):
-                assert (k + g.a - g.a_neg) % 2 == 0
-                assert (k - g.a - g.a_neg) % 2 == 0
+            for w in enumerate_good(k):
+                a, a_neg = stat_a(w), stat_a(w.negate())
+                assert (k + a - a_neg) % 2 == 0
+                assert (k - a - a_neg) % 2 == 0
 
 
 def fixed_point_increments(s):
@@ -162,16 +147,15 @@ class TestTidyFactorisation:
 
     def test_c_splits_over_the_involution_of_s_k(self):
         for k in range(1, 9):
-            for g in enumerate_good(k):
-                w = g.perm
+            for w in enumerate_good(k):
                 s = SignedPermutation([abs(v) for v in w])
                 fixed_by_w = [j for j in range(1, k + 1) if w[j - 1] == j]
                 m = fixed_point_increments(s)
-                assert set(fixed_by_w) <= set(m), g
+                assert set(fixed_by_w) <= set(m), w
                 split = neat_count(s) + sum(m[j] for j in fixed_by_w)
-                assert stat_c(w) == split == tidy_pairs_oracle(w), g
-                assert g.a == len(fixed_by_w)
-                assert g.a_neg == len(m) - len(fixed_by_w)
+                assert stat_c(w) == split == tidy_pairs_oracle(w), w
+                assert stat_a(w) == len(fixed_by_w)
+                assert stat_a(w.negate()) == len(m) - len(fixed_by_w)
 
 
 class TestNeat:
@@ -218,38 +202,37 @@ class TestNeat:
 
 class TestSuccPred:
     def test_succ_of_rank1_identity(self):
-        g = GoodInvolution(identity(1))
-        out = succ(g)
-        assert len(out) == 2 + g.a == 3
-        assert all(s.rank == 2 for s in out)
+        w = identity(1)
+        out = succ(w)
+        assert len(out) == 2 + stat_a(w) == 3
+        assert all(len(s) == 2 for s in out)
 
     def test_sizes(self):
         for k in range(1, 5):
-            for g in enumerate_good(k):
-                assert len(succ(g)) == 2 + g.a
+            for w in enumerate_good(k):
+                assert len(succ(w)) == 2 + stat_a(w)
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_partition(self, k):
         union = []
-        for g in enumerate_good(k):
-            union.extend(s.perm for s in succ(g))
+        for w in enumerate_good(k):
+            union.extend(succ(w))
         assert len(union) == len(set(union))
-        assert sorted(union) == [s.perm for s in enumerate_good(k + 1)]
+        assert sorted(union) == enumerate_good(k + 1)
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_pred_inverts_succ(self, k):
-        for g in enumerate_good(k):
-            for s in succ(g):
-                assert pred(s) == g
+        for w in enumerate_good(k):
+            for s in succ(w):
+                assert pred(s) == w
 
     def test_pred_covers_rank_above(self):
         for s in enumerate_good(4):
-            p = pred(s)
-            assert s.perm in {x.perm for x in succ(p)}
+            assert s in succ(pred(s))
 
     def test_pred_rank0_error(self):
         with pytest.raises(ValueError):
-            pred(GoodInvolution(identity(0)))
+            pred(identity(0))
 
     def test_statistics_transport(self):
         # conjugating by x shifts a, a_neg, c in the five stated ways
@@ -259,34 +242,35 @@ class TestSuccPred:
             x = conjugator(k)
             t_top = generator(0, k + 1)
             for g in enumerate_good(k):
-                base = x * g.perm.embed(k + 1) * x.inverse()
-                for s in succ(g):
-                    w = s.perm
+                base = x * g.embed(k + 1) * x.inverse()
+                a, a_neg, c = stat_a(g), stat_a(g.negate()), stat_c(g)
+                for w in succ(g):
+                    s_a, s_a_neg, s_c = stat_a(w), stat_a(w.negate()), stat_c(w)
                     if w == base:
-                        assert s.a == g.a + 1 and s.a_neg == g.a_neg
-                        assert s.c == g.c + g.a
+                        assert s_a == a + 1 and s_a_neg == a_neg
+                        assert s_c == c + a
                     elif w == base * t_top:
-                        assert s.a == g.a and s.a_neg == g.a_neg + 1
-                        assert s.c == g.c + g.a
+                        assert s_a == a and s_a_neg == a_neg + 1
+                        assert s_c == c + a
                     else:
-                        assert s.a == g.a - 1 and s.a_neg == g.a_neg
+                        assert s_a == a - 1 and s_a_neg == a_neg
                         i = -w[0] - 1  # the omitted letter, recovered from w(1)
-                        assert g.perm[i - 1] == i
-                        assert s.c == g.c + g.d(i)
+                        assert g[i - 1] == i
+                        assert s_c == c + stat_d(i, g)
 
     def test_a_zero_slice_is_negated_symmetric_involutions(self):
         for k in range(1, 7):
-            lhs = {g.perm for g in enumerate_good(k) if g.a == 0}
+            lhs = {w for w in enumerate_good(k) if stat_a(w) == 0}
             rhs = {w.negate() for w in symmetric_involutions(k)}
             assert lhs == rhs
 
 
 class TestSeparated:
     def test_k1(self):
-        assert [s.members for s in enumerate_separated(1)] == [(), (0,)]
+        assert enumerate_separated(1) == [(), (0,)]
 
     def test_k2(self):
-        assert [s.members for s in enumerate_separated(2)] == [(), (0,), (1,)]
+        assert enumerate_separated(2) == [(), (0,), (1,)]
 
     def test_count_6_2(self):
         sets = [s for s in enumerate_separated(6) if len(s) == 2]
@@ -305,49 +289,46 @@ class TestSeparated:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_brute_force_filter(self, k):
+        # the filter draws increasing tuples from range(k), so this also
+        # holds every member in range
         assert enumerate_separated(k) == separated_filter(k)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_validation_matches_pairwise_definition(self, k):
+        # pairwise_separated agrees with the gap-and-span form the enumerator
+        # builds: consecutive members differ by at least 2, the span is at most k - 2
         for size in range(k + 1):
             for ms in itertools.combinations(range(k), size):
-                try:
-                    SeparatedSet(k, ms)
-                except ValueError:
-                    assert not pairwise_separated(k, ms), ms
-                else:
-                    assert pairwise_separated(k, ms), ms
+                gaps = all(b - a >= 2 and b - ms[0] <= k - 2 for a, b in zip(ms, ms[1:]))
+                assert pairwise_separated(k, ms) == gaps, ms
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SeparatedSet(5, (0, 1))  # adjacent
-        with pytest.raises(ValueError):
-            SeparatedSet(5, (0, 4))  # wraps around
-        with pytest.raises(ValueError):
-            SeparatedSet(5, (5,))  # out of range
+        # the oracle pairwise_separated, which the brute-force filter above uses
+        assert pairwise_separated(5, (0, 2))
+        assert not pairwise_separated(5, (0, 1))  # adjacent
+        assert not pairwise_separated(5, (0, 4))  # wraps around
 
 
 class TestShift:
     def test_empty_fixed(self):
-        s = SeparatedSet(7, ())
-        assert shift_separated(s, 3) == s
+        assert shift_separated((), 7, 3) == ()
 
     def test_wrap(self):
         for k in range(3, 8):
-            assert shift_separated(SeparatedSet(k, (1,)), k - 1).members == (0,)
+            assert shift_separated((1,), k, k - 1) == (0,)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_bijection_preserving_cardinality(self, k):
         sets = enumerate_separated(k)
         for r in range(k + 1):
-            images = [shift_separated(s, r) for s in sets]
+            images = [shift_separated(s, k, r) for s in sets]
             assert len(set(images)) == len(sets)
             assert all(len(im) == len(s) for im, s in zip(images, sets))
-            assert sorted(im.members for im in images) == sorted(s.members for s in sets)
+            assert sorted(images) == sorted(sets)
 
     def test_shift_by_k_is_identity(self):
         for s in enumerate_separated(8):
-            assert shift_separated(s, 8) == s
+            assert shift_separated(s, 8, 8) == s
 
 
 class TestBinomialSum:

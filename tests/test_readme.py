@@ -1,6 +1,8 @@
-"""The README's Python example and the package's public names."""
+"""The README's Python example, the package's public names and the
+examples in its docstrings."""
 
 import contextlib
+import doctest
 import importlib
 import io
 import pkgutil
@@ -48,3 +50,8 @@ def test_package_exports_are_module_exports():
     for name in heckeb.__all__:
         home = sys.modules[getattr(heckeb, name).__module__]
         assert name in getattr(home, "__all__", ()), f"{name} is not in {home.__name__}.__all__"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_doctests_pass(module):
+    assert doctest.testmod(module).failed == 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heckeb.combinat import enumerate_good, neat_count, stat_a, symmetric_involutions
+from heckeb.combinat import enumerate_good, neat_count, stat_a, stat_c, symmetric_involutions
 from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
@@ -18,10 +18,10 @@ from oracles import p_coefficients
 def closed_form_oracle(k):
     """T_{w_{0,k}}^2 over G_k, building every good involution's weight afresh."""
     terms = {}
-    for g in enumerate_good(k):
-        a, a_neg, c = g.a, g.a_neg, g.c
+    for w in enumerate_good(k):
+        a, a_neg, c = stat_a(w), stat_a(w.negate()), stat_c(w)
         assert (k + a - a_neg) % 2 == 0 and (k - a - a_neg) % 2 == 0
-        terms[g.perm] = (
+        terms[w] = (
             P ** ((k + a - a_neg) // 2)
             * (ONE - P) ** a_neg
             * Q**c
@@ -53,7 +53,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_support_is_good_involutions(self, k):
         closed = V.closed_form_w0k_square(k)
-        assert set(closed.support()) == {g.perm for g in enumerate_good(k)}
+        assert set(closed.support()) == set(enumerate_good(k))
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matches_per_involution_oracle(self, k):
@@ -76,17 +76,18 @@ class TestClosedForm:
 
 
 def weights_oracle(k):
-    """(w, (a, a', c), weight) per good involution, from g.a, g.a_neg and g.c."""
+    """(w, (a, a', c), weight) per good involution, from stat_a(w),
+    stat_a(-w) and stat_c(w)."""
     out = []
-    for g in enumerate_good(k):
-        a, a_neg, c = g.a, g.a_neg, g.c
+    for w in enumerate_good(k):
+        a, a_neg, c = stat_a(w), stat_a(w.negate()), stat_c(w)
         weight = (
             P ** ((k + a - a_neg) // 2)
             * (ONE - P) ** a_neg
             * Q**c
             * (ONE - Q) ** ((k - a - a_neg) // 2)
         )
-        out.append((g.perm, (a, a_neg, c), weight))
+        out.append((w, (a, a_neg, c), weight))
     return out
 
 
