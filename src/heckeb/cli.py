@@ -46,7 +46,7 @@ from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, pars
 
 # Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 4 s
 # and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
-# terms); ``fk`` about 5 s (direct, each step in k about 4x), 10 s
+# terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
 # ``good`` about 2 s and 72 MB, 2.7 s with --json (k = 11 has four times as
 # many rows); and ``sep`` about 6 s and 150 MB, 9 s with --json (each step of
@@ -59,8 +59,8 @@ SEP_MAX_K = 28
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 3 s, 85 MB (11: 15 s, 345 MB); fk 6 s, 110 MB
-# (14: 29 s, 410 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
+# one rank above it: w0k 3 s, 85 MB (11: 15 s, 345 MB); fk 4.4 s, 109 MB
+# (14: 20 s, 406 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
 # (9: 22 s); main 24 s, 470 MB (n+k = 9 squares have millions of terms);
 # binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).

@@ -15,6 +15,19 @@ with neither end in F it is tidy in w exactly when it is neat in s (as
 was not neat, since s(j) = j > i.  The verifier's closed form for
 T_{w_{0,k}}^2 uses this to compute the per-s parts once per involution of S_k.
 
+|Fix s| and neat(s) are read together in one pass over the window of s
+(``_fixed_and_neat``): each arc i < s(i) adds the positions x strictly
+between i and s(i) with s(x) > i, which are the positions still open when
+the backtracking fill of ``symmetric_involutions`` places that arc.  This is
+the crossings-and-nestings count of the matching of s (Chen, Deng, Du,
+Stanley and Yan, "Crossings and nestings of matchings and partitions",
+Trans. AMS 2007): neat(s) = 2 nestings + crossings + fixed points under an
+arc.  A fixed point under an arc is counted once and a nested arc twice (both
+of its ends); of two crossing arcs only the left one counts an end of the
+other.  So pairing the first open position with the m-th open position after
+it adds q^(m-1), and (1 - q)(1 + ... + q^(k-2)) = 1 - q^(k-1) is the factor
+of the recurrence for f_k.
+
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
 x missing one letter); ``conjugator`` and ``conjugator_omit`` give these
 elements, and the verifier checks the conjugation expansion they drive.
@@ -86,14 +99,28 @@ def neat_count(w: SignedPermutation) -> int:
             raise ValueError(f"{w} is not in the symmetric group")
         if w[v - 1] != i:
             raise ValueError(f"{w} is not an involution")
-    # a neat pair i < j has w(j) < i < j and w(i) < j; count the i for each such j
-    count = 0
-    for j, wj in enumerate(w, start=1):
-        if wj < j:
-            for v in w[wj : j - 1]:
-                if v < j:
-                    count += 1
-    return count
+    return _fixed_and_neat(w)[1]
+
+
+def _fixed_and_neat(s) -> tuple[int, int]:
+    """(|Fix s|, neat(s)) for an involution s of S_k, read in one pass over
+    its window.  s is not checked: callers pass windows built as involutions.
+
+    Each arc i < s(i) adds the positions x strictly between its ends with
+    s(x) > i (a fixed point under the arc, or an end of an arc that starts
+    after i), so an arc with s(i) = i + 1 adds nothing.
+    """
+    fixed = neat = 0
+    i = 0
+    for v in s:
+        i += 1
+        if v > i + 1:
+            for x in s[i : v - 1]:
+                if x > i:
+                    neat += 1
+        elif v == i:
+            fixed += 1
+    return fixed, neat
 
 
 def symmetric_involutions(k: int) -> list[SignedPermutation]:
@@ -104,22 +131,29 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
         raise ValueError("k must be nonnegative")
     window = [0] * k  # 0 marks an open position
     out = []
-
-    def fill(i: int):
+    # A stack of the placed pairs, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep ``out`` alive until
+    # the cyclic collector runs.
+    arcs = []
+    i = j = 0  # pair the first open position i with the first open j' >= j
+    while True:
         if i == k:
             out.append(tuple.__new__(SignedPermutation, window))
-        elif window[i]:
-            fill(i + 1)
+            j = k  # the window is full: undo the last pair
+        while j < k and window[j]:
+            j += 1
+        if j < k:
+            window[i], window[j] = j + 1, i + 1
+            arcs.append((i, j))
+            while i < k and window[i]:
+                i += 1
+            j = i
+        elif arcs:
+            i, j = arcs.pop()
+            window[i] = window[j] = 0
+            j += 1
         else:
-            for j in range(i, k):
-                if not window[j]:
-                    window[i], window[j] = j + 1, i + 1
-                    fill(i + 1)
-                    window[j] = 0
-            window[i] = 0
-
-    fill(0)
-    return out
+            return out
 
 
 def enumerate_good(k: int) -> list[SignedPermutation]:

@@ -13,18 +13,19 @@ tc, baby, main, binom.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
 
 from .combinat import (
+    _fixed_and_neat,
     binomial_sum,
     conjugator,
     conjugator_omit,
     count_separated,
     enumerate_good,
     enumerate_separated,
-    neat_count,
     stat_a,
     stat_d,
     symmetric_involutions,
@@ -141,7 +142,8 @@ def _involution_table(s) -> tuple[int, int, tuple[int, ...]]:
         sum(1 for v in s[: j - 1] if v < j) if v_j == j else 0
         for j, v_j in enumerate(s, start=1)
     )
-    return neat_count(s), stat_a(s), m
+    fixed, neat = _fixed_and_neat(s)
+    return neat, fixed, m
 
 
 def good_involution_weights(k: int):
@@ -218,15 +220,24 @@ def f_k_direct(k: int) -> BivarPoly:
     """f_k as the sum over involutions of S_k weighted by fixed points and neat pairs.
 
     An involution w contributes p^((k-a)/2) (1-q)^((k-a)/2) (1-p)^a q^neat with
-    a = a(w) and neat = neat_count(w); the involutions are counted per (a, neat)
+    a = |Fix w| and neat = neat(w); the involutions are counted per (a, neat)
     and each distinct weight is built once.
+
+    Both statistics come from one unchecked pass over each window
+    (``combinat._fixed_and_neat``): a counts the positions with w(i) = i, and
+    each arc i < w(i) adds to neat the positions x strictly between i and w(i)
+    with w(x) > i, the positions still open when the backtracking fill of
+    ``symmetric_involutions`` places that arc.  This is the neat count: under
+    an arc a fixed point adds 1 and a nested arc adds 2 (both its ends are
+    counted), while of two crossing arcs only the left one counts an end of
+    the other, so the pair adds 1.  Pairing the first open position with the
+    m-th open position after it thus adds q^(m-1), and
+    (1-q)(1 + q + ... + q^(k-2)) = 1 - q^(k-1) is the factor of
+    ``f_k_recurrence``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    multiplicity: dict[tuple[int, int], int] = {}
-    for w in symmetric_involutions(k):
-        signature = (stat_a(w), neat_count(w))
-        multiplicity[signature] = multiplicity.get(signature, 0) + 1
+    multiplicity = Counter(map(_fixed_and_neat, symmetric_involutions(k)))
     pq = P * (ONE - Q)
     one_minus_p = ONE - P
     total = BivarPoly(0)

@@ -32,6 +32,18 @@ def is_good(w) -> bool:
     return is_involution(w) and all(v == i or v < 0 for i, v in enumerate(w, start=1))
 
 
+def neat_pairs_oracle(s) -> int:
+    """neat(s) for an involution s of S_k: the scan over all pairs i < j of the
+    definition s(j) < i and s(i) < j."""
+    k = len(s)
+    return sum(
+        1
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+        if s[j - 1] < i and s[i - 1] < j
+    )
+
+
 def pairwise_separated(k: int, members) -> bool:
     """Every pair of members differs by strictly between 1 and k - 1."""
     return all(1 < b - a < k - 1 for a, b in itertools.combinations(members, 2))

@@ -1,10 +1,12 @@
 """Good involutions, their statistics and recursion, and separated sets."""
 
 import itertools
+import sys
 
 import pytest
 
 from heckeb.combinat import (
+    _fixed_and_neat,
     binomial_sum,
     conjugator,
     count_separated,
@@ -24,7 +26,7 @@ from heckeb.signedperm import (
 )
 
 from combinat_helpers import pred, shift_separated, succ
-from oracles import is_good, is_involution, pairwise_separated
+from oracles import is_good, is_involution, neat_pairs_oracle, pairwise_separated
 
 
 def good_involutions_filter(k):
@@ -40,6 +42,22 @@ def tidy_pairs_oracle(w):
             if -w[i - 1] < j and -w[j - 1] < i:
                 count += 1
     return count
+
+
+def crossings_nestings_oracle(s):
+    """2 nestings + crossings + fixed points under an arc, over the arcs
+    i < s(i) of the involution s (Chen, Deng, Du, Stanley and Yan)."""
+    k = len(s)
+    arcs = [(i, s[i - 1]) for i in range(1, k + 1) if s[i - 1] > i]
+    fixed = [x for x in range(1, k + 1) if s[x - 1] == x]
+    nestings = crossings = 0
+    for (i, j), (x, y) in itertools.combinations(arcs, 2):  # i < x
+        if y < j:
+            nestings += 1
+        elif x < j:
+            crossings += 1
+    covered = sum(1 for i, j in arcs for x in fixed if i < x < j)
+    return 2 * nestings + crossings + covered
 
 
 def separated_filter(k):
@@ -173,13 +191,14 @@ class TestNeat:
 
     def test_brute_scan_s4(self):
         for w in symmetric_involutions(4):
-            expected = sum(
-                1
-                for i in range(1, 5)
-                for j in range(i + 1, 5)
-                if w.act(j) < i and w.act(i) < j
-            )
-            assert neat_count(w) == expected
+            assert neat_count(w) == neat_pairs_oracle(w)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_one_pass_matches_pair_scan_and_crossings(self, k):
+        for s in symmetric_involutions(k):
+            fixed, neat = _fixed_and_neat(s)
+            assert (fixed, neat) == (stat_a(s), neat_pairs_oracle(s)), s
+            assert neat == crossings_nestings_oracle(s), s
 
     def test_rejects_non_involutions(self):
         with pytest.raises(ValueError):
@@ -198,6 +217,11 @@ class TestNeat:
         assert all(a < b for a, b in zip(invs, invs[1:]))
         assert all(is_involution(w) and min(w, default=1) > 0 for w in invs)
         assert len(invs) == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620][k]
+
+    def test_symmetric_involutions_result_has_no_other_referrer(self):
+        # no reference cycle holds the list: it is freed when its caller drops it
+        invs = symmetric_involutions(6)
+        assert sys.getrefcount(invs) == 2
 
 
 class TestSuccPred:
