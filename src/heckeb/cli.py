@@ -29,6 +29,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from .combinat import count_separated, enumerate_separated
 from .hecke import HeckeElement, mult, t_of
@@ -44,8 +45,8 @@ from .verify import (
 )
 from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 4 s
-# and 90 MB (15 s and 470 MB with --json; k = 11 has four times as many
+# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 3 s
+# and 90 MB (4 s and 111 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
 # ``good`` about 2 s and 72 MB, 2.7 s with --json (k = 11 has four times as
@@ -55,14 +56,14 @@ SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 4 s and 166 MB (33 s and 231 MB with --json);
+# ``w0 w0`` at rank 6 takes about 3 s and 67 MB (5-6 s and 143 MB with --json);
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
 # one rank above it: w0k 3 s, 85 MB (11: 15 s, 345 MB); fk 4.4 s, 109 MB
 # (14: 20 s, 406 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
-# (9: 22 s); main 24 s, 470 MB (n+k = 9 squares have millions of terms);
+# (9: 22 s); main 23-31 s, 420 MB (n+k = 9 squares have millions of terms);
 # binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
 VERIFY_MAX_RANK = {
     "w0k": 10,
@@ -98,12 +99,79 @@ def _print_element(h: HeckeElement) -> None:
 
 
 def _emit_json(payload) -> None:
-    # Batches of encoder chunks: the whole text of a large payload is never
-    # held at once, and an unbuffered stdout does not get one write per chunk.
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+    """Write json.dumps(payload, indent=2) and a newline to stdout.
+
+    Batches of chunks: the whole text of a large payload is never held at
+    once, and an unbuffered stdout does not get one write per chunk.  A list
+    met more than once (the coefficient a HeckeElement's terms share) is
+    encoded once per indent and written from that text afterwards.
+    """
+    chunks = _json_chunks(payload, "\n", _shared_lists(payload), {})
+    while batch := "".join(itertools.islice(chunks, 1 << 10)):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
+
+
+def _shared_lists(payload) -> set:
+    """The ids of the lists met more than once in payload, not looking
+    inside a list already met."""
+    seen: set = set()
+    shared: set = set()
+    stack = [payload] if isinstance(payload, (dict, list)) else []
+    while stack:
+        o = stack.pop()
+        for v in o.values() if isinstance(o, dict) else o:
+            if isinstance(v, dict):
+                stack.append(v)
+            elif isinstance(v, list):
+                if id(v) in seen:
+                    shared.add(id(v))
+                else:
+                    seen.add(id(v))
+                    stack.append(v)
+    return shared
+
+
+def _json_chunks(o, newline: str, shared: set, texts: dict):
+    """The text of o as json.dumps(..., indent=2) writes it where ``newline``
+    (a newline and the indent) starts o's lines.  ``texts`` holds the text of
+    each shared list per indent, made on first meeting it."""
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        yield json.dumps(o)  # a scalar, {} or []
+        return
+    if id(o) in shared:
+        key = (id(o), newline)
+        text = texts.get(key)
+        if text is None:
+            texts[key] = text = "".join(_json_chunks(o, newline, (), texts))
+        yield text
+        return
+    inner = newline + "  "
+    is_dict = isinstance(o, dict)
+    values = o.values() if is_dict else o
+    if not any(map(isinstance, values, itertools.repeat((dict, list, tuple)))):
+        # flat: C-level passes, with the indent in the item separator
+        if not is_dict and set(map(type, o)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(repr, o)) + newline + "]"
+        else:
+            text = _flat_encoder(inner)(o)
+            yield text[0] + inner + text[1:-1] + newline + text[-1]
+        return
+    if is_dict:
+        keys = (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in o)
+    else:
+        keys = itertools.repeat("")
+    sep = ("{" if is_dict else "[") + inner
+    for key, v in zip(keys, values):
+        yield sep + key
+        yield from _json_chunks(v, inner, shared, texts)
+        sep = "," + inner
+    yield newline + ("}" if is_dict else "]")
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(inner: str):
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
 def _cmd_square_w0k(args) -> int:

@@ -21,10 +21,10 @@ are ids into a pool of hash-consed BivarPoly term dicts (Filliatre &
 Conchon, "Type-safe modular hash-consing", 2006); h is encoded once at the
 start and the windows are decoded once, at the end:
 
-- A window is one int with a field of width (2*rank).bit_length() per
-  position, holding w(i) + rank, so field order is value order.  s_i swaps
-  two fields, t reflects field 0, and a right descent is one field
-  comparison.
+- A window is one int with a whole-byte field per position (one byte below
+  rank 128, then two, four or eight), holding w(i) + 2^(W-1) for fields of
+  W bits, so field order is value order.  s_i swaps two fields, t reflects
+  field 0, and a right descent is one field comparison.
 - A coefficient is a BivarPoly term dict {(pe, qe): int}, pooled as it is,
   with no copy.  The pool gives each distinct dict one id; id 0 is zero.
   Pooled dicts are never changed.  Sums and splits run poly's raw term-dict
@@ -46,15 +46,20 @@ start and the windows are decoded once, at the end:
 - Shared monomials.  A split shifts each monomial through a table
   monomial -> monomial * param kept across calls, so every pooled dict that
   holds a given shifted monomial holds the same tuple.
-- Pool lifetime.  One pool serves every factor of a fold.  Between factors
-  it keeps only the dicts of the ids the running product holds, and zero,
-  and clears the memos, whose entries may name a dropped id.  So the
-  intermediate coefficients of a factor live only as long as its own fold,
-  as if each factor had its own pool, while the running product is never
-  decoded and re-encoded.  A fold with one factor never compacts.
-- Decoding.  Each window is decoded per term; each id becomes one BivarPoly
-  around its pooled dict, shared by every term that carries it.  BivarPoly is
-  never changed in place, so sharing is safe.
+- Pool lifetime.  One pool serves every factor of a fold.  After each
+  letter, once the pool has grown past twice the size its last compaction
+  left, it keeps only the dicts of the ids the running product holds, and
+  zero, and drops only the memo entries that name a dropped id.  The factor
+  2 makes compaction amortised O(1) per pooled dict.  So however long a
+  factor's word is, the pool holds at most twice what its last compaction
+  left, plus one letter's new dicts, and the running product is never
+  decoded and re-encoded.
+- Decoding.  The pool keeps only the live dicts, and each id becomes one
+  BivarPoly around its pooled dict, shared by every term that carries it;
+  BivarPoly is never changed in place, so sharing is safe.  The windows are
+  decoded in C-level passes: XOR with the top bit of every field turns each
+  field into w(i) in two's complement, ``int.to_bytes`` writes it out and
+  one ``struct`` layout reads the signed window back.
 
 Cosets.  The parabolic subgroup B_n x S_k is handled by one closed form per
 coset pattern (``_coset_form``): ``distinguished_factor`` splits a window,
@@ -67,7 +72,9 @@ of B_1..B_5.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter, mul
 
 from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw
@@ -313,14 +320,19 @@ class _Pool:
         return self.intern(terms, fp % mod)
 
     def keep(self, ids) -> None:
-        """Drop every pooled dict but those of ids and zero, and clear the
-        memos, whose entries may name a dropped id."""
+        """Drop every pooled dict but those of ids and zero, and every memo
+        entry that names a dropped id; the other entries stay."""
+        live = set(ids)
+        live.add(0)
         dicts = self.dicts
-        kept = self.dicts = {i: dicts[i] for i in ids}
-        kept[0] = dicts[0]
-        self.sums.clear()
-        self.split_p.clear()
-        self.split_q.clear()
+        self.dicts = {i: dicts[i] for i in live}
+        self.sums = {ab: s for ab, s in self.sums.items() if s in live and live.issuperset(ab)}
+        self.split_p = {
+            c: pair for c, pair in self.split_p.items() if c in live and live.issuperset(pair)
+        }
+        self.split_q = {
+            c: pair for c, pair in self.split_q.items() if c in live and live.issuperset(pair)
+        }
 
     def add(self, a: int, b: int) -> int:
         """The id of dicts[a] + dicts[b], memoised under (a, b)."""
@@ -355,12 +367,13 @@ class _Pool:
         return pair
 
 
-def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
+def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
     """Right-multiply an int-keyed {window: id} mapping by T_g.
 
     Length-increasing terms move with their id; the rest split by the
     quadratic relation T_w T_g = param*T_{wg} + (1-param)*T_w with param p
-    (g = 0) or q.  Coefficient arithmetic is a memo lookup in ``pool``.
+    (g = 0) or q.  A field holds its value plus ``zero``.  Coefficient
+    arithmetic is a memo lookup in ``pool``.
     """
     mask = (1 << width) - 1
     if g == 0:
@@ -378,8 +391,8 @@ def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
     for w, c in terms.items():
         if p:
             a = w & mask
-            ws = w + 2 * (rank - a)  # w(1) -> -w(1)
-            descent = a < rank
+            ws = w + 2 * (zero - a)  # w(1) -> -w(1)
+            descent = a < zero
         else:
             a = w >> low & mask
             b = w >> high & mask
@@ -415,52 +428,61 @@ def _fold(terms: dict, g: int, width: int, rank: int, pool: _Pool) -> dict:
     return out
 
 
+# struct codes of the signed whole-byte field widths a window may use
+_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
 def _times_ts(h: HeckeElement, xs) -> HeckeElement:
     """h * T_{x_1} * ... * T_{x_r} in one pool: h is encoded once, folded
     along a reduced word of each x_i in turn and decoded once.
 
-    Between factors the pool keeps only the ids the running product holds
-    (``_Pool.keep``), so a factor's intermediate coefficients live as long as
-    its own fold.  Well-definedness over the choice of word is a consequence
-    of the braid relations (and is exercised by the tests).  The fold runs on
-    int windows and pooled coefficient ids, as described in the module
-    docstring; h is not changed.
+    After each letter the pool is compacted to the ids the running product
+    holds (``_Pool.keep``) whenever it has grown past twice its size after
+    the last compaction, so the pool stays within about twice its live set
+    at an amortised O(1) cost per pooled dict.  Well-definedness over the
+    choice of word is a consequence of the braid relations (and is
+    exercised by the tests).  The fold runs on int windows and pooled
+    coefficient ids, as described in the module docstring; h is not changed.
     """
     rank = h.rank
-    width = (2 * rank).bit_length()
-    shifts = [i * width for i in range(rank)]
+    size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
+    if size is None:
+        raise ValueError(f"rank {rank} does not fit in a window field")
+    width = 8 * size
+    zero = 1 << (width - 1)
+    flip = sum(zero << (i * width) for i in range(rank))
+    layout = struct.Struct(f"<{rank}{_FIELD_CODES[size]}")
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
-    windows: dict = {}  # packed window -> h's SignedPermutation
     cur: dict = {}
     for w, c in h._terms.items():
-        key = sum((v + rank) << s for v, s in zip(w, shifts))
-        windows[key] = w
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
-        cur[key] = i
-    for j, x in enumerate(xs):
-        if j:
-            pool.keep(cur.values())
+        cur[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
+    limit = 2 * len(pool.dicts)
+    for x in xs:
         for g in x.reduced_word():
-            cur = _fold(cur, g, width, rank, pool)
+            cur = _fold(cur, g, width, zero, pool)
+            if len(pool.dicts) > limit:
+                pool.keep(cur.values())
+                limit = 2 * len(pool.dicts)
 
-    # Decode each window per term and each coefficient id once: every term
-    # with the same id shares one BivarPoly around the pooled dict.
-    mask = (1 << width) - 1
+    # Keep only the live dicts, one BivarPoly per id shared by every term
+    # that carries it, then decode the windows in C-level passes: the XOR
+    # turns each field v + zero into v in two's complement, which the
+    # struct layout reads back as the signed window.  (Unpacking key by key
+    # is as fast as iter_unpack over one joined buffer, and works at rank 0,
+    # whose zero-size layout iter_unpack refuses.)
     dicts = pool.dicts
-    polys: dict = {}
-    out = {}
-    for w, c in cur.items():
-        poly = polys.get(c)
-        if poly is None:
-            poly = polys[c] = BivarPoly._raw(dicts[c])
-        window = windows.get(w)  # h's windows are already decoded
-        if window is None:
-            window = tuple.__new__(SignedPermutation, [(w >> s & mask) - rank for s in shifts])
-        out[window] = poly
-    return HeckeElement._raw(rank, out)
+    polys = {c: BivarPoly._raw(dicts[c]) for c in set(cur.values())}
+    del pool, dicts
+    windows = map(
+        tuple.__new__,
+        repeat(SignedPermutation),
+        map(layout.unpack, map(int.to_bytes, map(flip.__xor__, cur), repeat(layout.size), repeat("little"))),
+    )
+    return HeckeElement._raw(rank, dict(zip(windows, map(polys.__getitem__, cur.values()))))
 
 
 def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:

@@ -75,6 +75,35 @@ class TestSquareW0k:
         assert out == json.dumps(mult(t_of(w), t_of(w)).to_json(), indent=2) + "\n"
 
 
+class TestEmitJson:
+    SHARED = [{"p": 1, "q": 0, "c": "-3"}, {"p": 0, "q": 2, "c": "1"}]
+    PAYLOADS = [
+        {},
+        [],
+        7,
+        "text",
+        None,
+        [1, True, None, 1.5, "x\u00e9\n", -3, float("nan"), False],
+        (1, (2, 3), [], {}, [[]]),
+        {"a": {"b": [[], {}, [1, [2, [3]]]]}, 1: 2, True: 3, None: 4, 2.5: 5},
+        {"rank": 2, "terms": [{"w": [1, -2], "coeff": SHARED}, {"w": [2, 1], "coeff": SHARED}]},
+        [SHARED, {"deeper": [SHARED, SHARED]}, SHARED],
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_writes_what_json_dumps_writes(self, capsys, payload):
+        cli._emit_json(payload)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_mult_json_with_shared_coefficients(self, capsys):
+        # the terms of w0 w0 share far fewer coefficients than they have
+        _, out, _ = run(capsys, "mult", "--rank", "3", "--expr", "w0 w0", "--json")
+        element = words.evaluate_word(words.parse_word("w0 w0"), 3)
+        assert len({id(c) for c in element._terms.values()}) < len(element._terms)
+        payload = {"rank": 3, "expr": "w0 w0", "element": element.to_json()}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
 class TestGoodAndSep:
     def test_good_table(self, capsys):
         code, out, _ = run(capsys, "good", "--k", "2")

@@ -37,6 +37,7 @@ from heckeb.signedperm import (
     parabolic_elements,
 )
 from heckeb.verify import closed_form_w0k_square
+from heckeb.words import evaluate_word, parse_word
 
 from oracles import (
     descents,
@@ -509,7 +510,7 @@ class TestKernel:
         assert mult(h, h) == oracle_mult(h, h)
         assert mult(t_of(t), h) == HeckeElement(1, {identity(1): P - P * P, t: Q + (ONE - P) ** 2})
 
-    def test_rank_sixteen_uses_six_bit_fields(self):
+    def test_rank_sixteen(self):
         rng = random.Random(16)
         rank = 16
         x = identity(rank).negate()
@@ -527,6 +528,35 @@ class TestKernel:
                 [s * a for s, a in zip(signs, rng.sample(range(1, rank + 1), rank))]
             )
             assert mult(t_of(v), t_of(short)).specialize(1, 1) == {v * short: 1}
+
+    @pytest.mark.parametrize("rank", [0, 1, 127, 128, 130])
+    def test_windows_round_trip_at_field_width_boundaries(self, rank):
+        # one-byte fields hold values up to +-127; from rank 128 on the
+        # fields are two bytes wide, and the extremes +-rank must survive
+        w0 = identity(rank).negate()
+        h = HeckeElement(rank, {identity(rank): ONE + P, w0: Q})
+        assert hecke._times_ts(h, ()) == h
+        if rank:
+            t = t_of(generator(0, rank))
+            assert mult(h, t) == oracle_mult(h, t)
+
+    def test_rank_one_hundred_thirty(self):
+        rank = 130
+        s1, t, s129 = generator(1, rank), generator(0, rank), generator(129, rank)
+        assert right_descent(s1, 1) and not right_descent(t, 129)
+        square = mult(t_of(s1), t_of(s1))
+        assert square == oracle_mult(t_of(s1), t_of(s1))
+        assert square == HeckeElement(rank, {identity(rank): Q, s1: ONE - Q})
+        product = t_of(t) * t_of(s129)
+        assert product == oracle_mult(t_of(t), t_of(s129))
+        assert product == t_of(t * s129)
+        # the window holds -1 and values past 127, which one-byte fields cannot
+        assert list(product.support()) == [SignedPermutation([-1] + list(range(2, 129)) + [130, 129])]
+
+    def test_a_window_too_wide_for_every_field_raises(self, monkeypatch):
+        monkeypatch.setattr(hecke, "_FIELD_CODES", {1: "b"})
+        with pytest.raises(ValueError, match="does not fit"):
+            mult(t_of(generator(1, 130)), t_of(generator(1, 130)))
 
     def test_right_terms_that_cancel_at_a_window(self):
         # T_w (T_s - (1 - q)) = q T_{ws} when s shortens w: the (1 - q) T_w
@@ -646,8 +676,8 @@ def chained_mult(h, xs):
 
 
 class TestPooledFold:
-    """_times_ts folds h along several factors in one pool, keeping only the
-    live coefficients between factors."""
+    """_times_ts folds h along several factors in one pool, compacting it to
+    the live coefficients whenever it doubles."""
 
     @settings(max_examples=50, deadline=None)
     @given(fold_chains())
@@ -665,35 +695,72 @@ class TestPooledFold:
             mp.setattr(hecke, "_FP_MODULUS", 1)
             assert hecke._times_ts(h, xs) == expected
 
-    def test_keep_holds_exactly_the_live_ids(self, monkeypatch):
+    def test_keep_holds_the_live_ids_and_their_memo_entries(self, monkeypatch):
         keep = hecke._Pool.keep
-        sizes = []
+        counts = []  # (memo entries kept, memo entries dropped) per compaction
+
+        def names(key, value):
+            return {i for x in (key, value) for i in (x if isinstance(x, tuple) else (x,))}
 
         def checking_keep(pool, ids):
             ids = list(ids)
             before = dict(pool.dicts)
-            assert pool.sums and pool.split_p and pool.split_q
+            memos = [dict(pool.sums), dict(pool.split_p), dict(pool.split_q)]
             keep(pool, ids)
-            assert set(pool.dicts) == set(ids) | {0}
-            assert all(pool.dicts[i] is before[i] for i in pool.dicts)
-            assert not pool.sums and not pool.split_p and not pool.split_q
-            sizes.append((len(before), len(pool.dicts)))
+            live = set(ids) | {0}
+            assert set(pool.dicts) == live
+            assert all(pool.dicts[i] is before[i] for i in live)
+            for old, new in zip(memos, (pool.sums, pool.split_p, pool.split_q)):
+                # an entry stays exactly when every id it names survives
+                assert new == {k: v for k, v in old.items() if names(k, v) <= live}
+                counts.append((len(new), len(old) - len(new)))
 
         monkeypatch.setattr(hecke._Pool, "keep", checking_keep)
-        w0 = identity(3).negate()
-        h = t_of(w0)
-        product = hecke._times_ts(h, [w0, w0, w0])
-        assert len(sizes) == 2
-        assert all(after < before for before, after in sizes)
-        assert product == chained_mult(h, [w0, w0, w0])
+        for w, factors in ((identity(3).negate(), 3), (make_w_nk(1, 3), 2)):
+            h = t_of(w)
+            assert hecke._times_ts(h, [w] * factors) == chained_mult(h, [w] * factors)
+        assert any(kept for kept, _ in counts) and any(dropped for _, dropped in counts)
 
-    def test_one_factor_never_compacts(self, monkeypatch):
-        calls = []
+    def test_one_factor_compacts_once_its_pool_doubles(self, monkeypatch):
+        sizes = []  # (pool size before, after) per compaction
         keep = hecke._Pool.keep
-        monkeypatch.setattr(hecke._Pool, "keep", lambda pool, ids: calls.append(1) or keep(pool, ids))
+
+        def recording_keep(pool, ids):
+            before = len(pool.dicts)
+            keep(pool, ids)
+            sizes.append((before, len(pool.dicts)))
+
+        monkeypatch.setattr(hecke._Pool, "keep", recording_keep)
+        t = generator(0, 1)
+        assert mult(t_of(t), t_of(t)) == oracle_mult(t_of(t), t_of(t))
+        assert not sizes  # zero, 1, 1 - p and p: the pool of 2 has not passed 4
         w = make_w_nk(1, 3)
-        mult(t_of(w), t_of(w))
-        mult(HeckeElement(4, {w: ONE + P, identity(4): Q}), t_of(w))
-        assert not calls
-        hecke._times_ts(t_of(w), [w, w])
-        assert calls == [1]
+        assert mult(t_of(w), t_of(w)) == oracle_mult(t_of(w), t_of(w))
+        assert sizes
+        # t_of(w) pools zero and 1, so the first compaction waits for more
+        # than 4 dicts, and each later one for twice what the last one left
+        limits = [4] + [2 * after for _, after in sizes[:-1]]
+        assert all(before > limit for (before, _), limit in zip(sizes, limits))
+
+    def test_long_run_pool_stays_within_twice_its_compacted_size(self, monkeypatch):
+        # ( t s1 s2 s3 )^32 at rank 4 folds runs of up to 16 letters; before
+        # each letter the pool holds at most twice what the last compaction
+        # left (so at most that plus one letter's dicts at any time)
+        fold, keep = hecke._fold, hecke._Pool.keep
+        base = {}
+        entries = []  # (pool size, size after the last compaction) per letter
+
+        def watching_fold(terms, g, *args):
+            pool = args[-1]
+            entries.append((len(pool.dicts), base.setdefault(pool, len(pool.dicts))))
+            return fold(terms, g, *args)
+
+        def watching_keep(pool, ids):
+            keep(pool, ids)
+            base[pool] = len(pool.dicts)
+
+        monkeypatch.setattr(hecke, "_fold", watching_fold)
+        monkeypatch.setattr(hecke._Pool, "keep", watching_keep)
+        evaluate_word(parse_word("( t s1 s2 s3 )^32"), 4)
+        assert len(entries) == 128
+        assert all(size <= 2 * last for size, last in entries)
