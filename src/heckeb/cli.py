@@ -46,7 +46,7 @@ from .verify import (
 from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
 # Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 3 s
-# and 90 MB (4 s and 111 MB with --json; k = 11 has four times as many
+# and 90 MB (5 s and 105 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
 # ``good`` about 2 s and 72 MB, 2.7 s with --json (k = 11 has four times as
@@ -113,17 +113,19 @@ def _emit_json(payload) -> None:
 
 
 def _shared_lists(payload) -> set:
-    """The ids of the lists met more than once in payload, not looking
-    inside a list already met."""
+    """The ids of the lists of containers met more than once in payload, not
+    looking inside a list already met.  A list of scalars (a window) is never
+    shared, so it is not recorded."""
     seen: set = set()
     shared: set = set()
     stack = [payload] if isinstance(payload, (dict, list)) else []
+    containers = itertools.repeat((dict, list))
     while stack:
         o = stack.pop()
         for v in o.values() if isinstance(o, dict) else o:
             if isinstance(v, dict):
                 stack.append(v)
-            elif isinstance(v, list):
+            elif isinstance(v, list) and any(map(isinstance, v, containers)):
                 if id(v) in seen:
                     shared.add(id(v))
                 else:
@@ -328,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--expr",
         required=True,
-        help=f"word expression, multiplied out in one fold, one maximal reduced run of letters "
-        f"at a time; each exponent times the exponents of the groups around it at most "
+        help=f"word expression, multiplied out in one fold along its letters; "
+        f"each exponent times the exponents of the groups around it at most "
         f"{MAX_EXPONENT}; groups nested at most {MAX_DEPTH} deep",
     )
     p.add_argument("--json", action="store_true")

@@ -8,12 +8,13 @@ counts the unordered "tidy" pairs {i, j} with -w(i) < j and -w(j) < i.
 G_k is enumerated through its bijection with the pairs (s, F) of an involution
 s of S_k and a subset F of the fixed points of s: w = -s with F made positive.
 The statistics factor through the pair: a(w) = |F|, a(-w) = |Fix s| - |F| and
-c(w) = neat(s) + sum over j in F of #{i < j : s(i) < j}.  For a pair i < j:
-with neither end in F it is tidy in w exactly when it is neat in s (as
-``neat_count`` notes); with only i in F the condition is unchanged, since
--w(i) = -i < j anyway; with j in F it is tidy exactly when s(i) < j, and it
-was not neat, since s(j) = j > i.  The verifier's closed form for
-T_{w_{0,k}}^2 uses this to compute the per-s parts once per involution of S_k.
+c(w) = neat(s) + sum over j in F of #{i < j : s(i) < j}, where a pair
+{i, j} is neat in s when s(j) < i and s(i) < j, that is, tidy in -s.  For a
+pair i < j: with neither end in F it is tidy in w exactly when it is neat in
+s; with only i in F the condition is unchanged, since -w(i) = -i < j
+anyway; with j in F it is tidy exactly when s(i) < j, and it was not neat,
+since s(j) = j > i.  The verifier's closed form for T_{w_{0,k}}^2 uses this
+to compute the per-s parts once per involution of S_k.
 
 |Fix s| and neat(s) are read together in one pass over the window of s
 (``_fixed_and_neat``): each arc i < s(i) adds the positions x strictly
@@ -40,7 +41,8 @@ Both enumerators return plain values, good by construction: a good
 involution is its SignedPermutation window and a separated set is the
 increasing tuple of its members.  The definitions they meet are tested
 predicates (``is_good`` and ``pairwise_separated`` in ``tests/oracles.py``),
-not checks repeated on every value.
+not checks repeated on every value; so are the pair scans of c(w) and
+neat(s) (``stat_c`` and ``neat_count`` there).
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ __all__ = [
     "enumerate_good",
     "stat_a",
     "stat_d",
-    "stat_c",
-    "neat_count",
     "symmetric_involutions",
     "conjugator",
     "conjugator_omit",
@@ -75,31 +75,6 @@ def stat_d(i: int, w: SignedPermutation) -> int:
     if not 0 <= i <= len(w):
         raise ValueError(f"i = {i} out of range for rank {len(w)}")
     return sum(1 for j in range(i + 1, len(w) + 1) if w[j - 1] == j)
-
-
-def stat_c(w: SignedPermutation) -> int:
-    """Number of tidy pairs {i, j}: -w(i) < j and -w(j) < i."""
-    # a tidy pair i < j has -w(j) < i < j and -w(i) < j; count the i for each j
-    count = 0
-    for j, wj in enumerate(w, start=1):
-        for v in w[max(-wj, 0) : j - 1]:
-            if -v < j:
-                count += 1
-    return count
-
-
-def neat_count(w: SignedPermutation) -> int:
-    """Number of neat pairs {i, j} of an involution in S_k: w(j) < i and w(i) < j.
-
-    A pair is neat in w exactly when it is tidy in -w.
-    """
-    k = len(w)
-    for i, v in enumerate(w, start=1):
-        if not 0 < v <= k:
-            raise ValueError(f"{w} is not in the symmetric group")
-        if w[v - 1] != i:
-            raise ValueError(f"{w} is not an involution")
-    return _fixed_and_neat(w)[1]
 
 
 def _fixed_and_neat(s) -> tuple[int, int]:

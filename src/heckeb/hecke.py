@@ -5,16 +5,15 @@ mapping from window to coefficient.  The generator T_t carries parameter p,
 every T_{s_i} carries q, and the defining relation is
 (T_g - 1)(T_g + param(g)) = 0.
 
-The one multiplication kernel is h * T_{x_1} * ... * T_{x_r}: h is folded
-along a reduced word of each x_i in turn, and each letter either lengthens
-a term's window or splits it by the quadratic relation (Geck & Pfeiffer,
-Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000).
-``mult`` is linear in its right factor: h1 * h2 is the sum over the terms
-c * T_x of h2 of (h1 * T_x) * c, each h1 * T_x a fold with one factor.  A
-word expression is one fold of the unit with a factor per maximal reduced
-run of its letters (``heckeb.words``).  No multiplication table is ever
-materialized, inverses of basis elements are never formed, and
-coefficients stay polynomial.
+The one multiplication kernel is h * T_{g_1} * ... * T_{g_L} for generator
+letters g_1 ... g_L, reduced or not: each letter either lengthens a term's
+window or splits it by the quadratic relation (Geck & Pfeiffer, Characters
+of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000).  ``mult`` is
+linear in its right factor: h1 * h2 is the sum over the terms c * T_x of h2
+of (h1 * T_x) * c, each h1 * T_x a fold along a reduced word of x.  A word
+expression is one fold of the unit along its own letters
+(``heckeb.words``).  No multiplication table is ever materialized, inverses
+of basis elements are never formed, and coefficients stay polynomial.
 
 Kernel representation.  Inside one fold windows are ints and coefficients
 are ids into a pool of hash-consed BivarPoly term dicts (Filliatre &
@@ -46,14 +45,14 @@ start and the windows are decoded once, at the end:
 - Shared monomials.  A split shifts each monomial through a table
   monomial -> monomial * param kept across calls, so every pooled dict that
   holds a given shifted monomial holds the same tuple.
-- Pool lifetime.  One pool serves every factor of a fold.  After each
+- Pool lifetime.  One pool serves every letter of a fold.  After each
   letter, once the pool has grown past twice the size its last compaction
   left, it keeps only the dicts of the ids the running product holds, and
   zero, and drops only the memo entries that name a dropped id.  The factor
-  2 makes compaction amortised O(1) per pooled dict.  So however long a
-  factor's word is, the pool holds at most twice what its last compaction
-  left, plus one letter's new dicts, and the running product is never
-  decoded and re-encoded.
+  2 makes compaction amortised O(1) per pooled dict.  So however long the
+  word is, the pool holds at most twice what its last compaction left, plus
+  one letter's new dicts, and the running product is never decoded and
+  re-encoded.
 - Decoding.  The pool keeps only the live dicts, and each id becomes one
   BivarPoly around its pooled dict, shared by every term that carries it;
   BivarPoly is never changed in place, so sharing is safe.  The windows are
@@ -432,17 +431,17 @@ def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _times_ts(h: HeckeElement, xs) -> HeckeElement:
-    """h * T_{x_1} * ... * T_{x_r} in one pool: h is encoded once, folded
-    along a reduced word of each x_i in turn and decoded once.
+def _times_ts(h: HeckeElement, letters) -> HeckeElement:
+    """h * T_{g_1} * ... * T_{g_L} in one pool, for generator letters g_i
+    (0 is t, i >= 1 is s_i), reduced or not: h is encoded once, folded
+    along the letters and decoded once.
 
     After each letter the pool is compacted to the ids the running product
     holds (``_Pool.keep``) whenever it has grown past twice its size after
     the last compaction, so the pool stays within about twice its live set
-    at an amortised O(1) cost per pooled dict.  Well-definedness over the
-    choice of word is a consequence of the braid relations (and is
-    exercised by the tests).  The fold runs on int windows and pooled
-    coefficient ids, as described in the module docstring; h is not changed.
+    at an amortised O(1) cost per pooled dict.  The fold runs on int windows
+    and pooled coefficient ids, as described in the module docstring; h is
+    not changed.
     """
     rank = h.rank
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
@@ -461,12 +460,11 @@ def _times_ts(h: HeckeElement, xs) -> HeckeElement:
             i = encoded[id(c)] = pool.encode(c._terms)
         cur[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
     limit = 2 * len(pool.dicts)
-    for x in xs:
-        for g in x.reduced_word():
-            cur = _fold(cur, g, width, zero, pool)
-            if len(pool.dicts) > limit:
-                pool.keep(cur.values())
-                limit = 2 * len(pool.dicts)
+    for g in letters:
+        cur = _fold(cur, g, width, zero, pool)
+        if len(pool.dicts) > limit:
+            pool.keep(cur.values())
+            limit = 2 * len(pool.dicts)
 
     # Keep only the live dicts, one BivarPoly per id shared by every term
     # that carries it, then decode the windows in C-level passes: the XOR
@@ -489,14 +487,15 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra, linear in h2: the sum over the terms
     c * T_x of h2 of (h1 * T_x) * c.
 
-    Each h1 * T_x is one fold (``_times_ts`` with the one factor x); a right
-    factor T_x with coefficient 1 is that fold alone.  Neither factor is
-    changed.
+    Each h1 * T_x is one fold along a reduced word of x (``_times_ts``); a
+    right factor T_x with coefficient 1 is that fold alone.  That the word
+    does not matter follows from the braid relations (and is exercised by
+    the tests).  Neither factor is changed.
     """
     h1._check_rank(h2)
     out = HeckeElement._raw(h1.rank, {})
     for x, c in h2._terms.items():
-        term = _times_ts(h1, (x,))
+        term = _times_ts(h1, x.reduced_word())
         if c != ONE:
             term = term.scale(c)
         out = out + term if out._terms else term

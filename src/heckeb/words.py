@@ -12,16 +12,15 @@ Parsing and printing are mutually inverse on canonical forms; unknown or
 malformed input is rejected with the byte offset of the offending token.
 
 Evaluation flattens the expression to its letters (a reduced word per
-token, a factor's letters repeated per unit of its exponent), cuts them
-into maximal reduced runs and makes one call of the kernel of
-``heckeb.hecke``: the unit folded by T_x for each run x in turn.  The
-running product is encoded once and decoded once, and the kernel's pool
-is compacted to the coefficients the product still holds whenever it has
-doubled, so a long run's intermediate coefficients do not pile up.  Each
-letter costs more as the coefficient degrees grow, so exponents are capped
-at MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at rank 3 takes about
-0.7 s and 24 MB in a fresh process on a 2-vCPU host.  Nested exponents
-multiply: a factor's exponent times the exponents of every group around it
+token, a factor's letters repeated per unit of its exponent) and makes one
+call of the kernel of ``heckeb.hecke``: the unit folded along those
+letters.  The running product is encoded once and decoded once, and the
+kernel's pool is compacted to the coefficients the product still holds
+whenever it has doubled, so a long word's intermediate coefficients do not
+pile up.  Each letter costs more as the coefficient degrees grow, so
+exponents are capped at MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at
+rank 3 takes about 0.8 s and 23 MB in a fresh process on a 2-vCPU host.
+Nested exponents multiply: a factor's exponent times the exponents of every group around it
 is also capped at MAX_EXPONENT, so ``( ( t s1 )^32 )^4`` is refused at its
 ``4``, and ``( ( t s1 s2 )^16 )^2`` has the letters of ``( t s1 s2 )^32``
 and about its time.  Groups nest at most MAX_DEPTH deep; printing, hashing
@@ -283,22 +282,8 @@ def _letters(expr: WordExpression, rank: int) -> list:
 
 
 def evaluate_word(expr: WordExpression, rank: int) -> HeckeElement:
-    """Evaluate the expression in the Hecke algebra of B_rank.
-
-    The letters are cut into maximal reduced runs: a run's group element x
-    grows while each letter lengthens it, and a letter that would shorten it
-    starts the next run.  The result is one pooled fold of the unit along
-    the runs, ``_times_ts(unit(rank), runs)``: the running product is encoded
-    and decoded once, and the pool is compacted to the coefficients the
-    product still holds whenever it has doubled.  With no letters the result
-    is the unit.
+    """Evaluate the expression in the Hecke algebra of B_rank: one pooled
+    fold of the unit along its letters, ``_times_ts(unit(rank), letters)``.
+    With no letters the result is the unit.
     """
-    runs = []
-    x = identity(rank)
-    for g in _letters(expr, rank):
-        if x[0] < 0 if g == 0 else x[g - 1] > x[g]:  # g shortens x: the run ends
-            runs.append(x)
-            x = identity(rank)
-        x = x.apply_right(g)
-    runs.append(x)
-    return _times_ts(unit(rank), runs)
+    return _times_ts(unit(rank), _letters(expr, rank))

@@ -4,6 +4,7 @@ the library, which keeps one home for each decision."""
 
 import itertools
 
+from heckeb.combinat import _fixed_and_neat
 from heckeb.poly import BivarPoly
 
 # -- signed permutations --------------------------------------------------------
@@ -30,6 +31,32 @@ def descents(w) -> list[int]:
 def is_good(w) -> bool:
     """w lies in G_k: an involution whose every value is fixed or negative."""
     return is_involution(w) and all(v == i or v < 0 for i, v in enumerate(w, start=1))
+
+
+def stat_c(w) -> int:
+    """Number of tidy pairs {i, j}: -w(i) < j and -w(j) < i."""
+    # a tidy pair i < j has -w(j) < i < j and -w(i) < j; count the i for each j
+    count = 0
+    for j, wj in enumerate(w, start=1):
+        for v in w[max(-wj, 0) : j - 1]:
+            if -v < j:
+                count += 1
+    return count
+
+
+def neat_count(w) -> int:
+    """Number of neat pairs {i, j} of an involution in S_k: w(j) < i and w(i) < j.
+
+    A pair is neat in w exactly when it is tidy in -w.  The window is
+    checked, then read by the library's one-pass ``_fixed_and_neat``.
+    """
+    k = len(w)
+    for i, v in enumerate(w, start=1):
+        if not 0 < v <= k:
+            raise ValueError(f"{w} is not in the symmetric group")
+        if w[v - 1] != i:
+            raise ValueError(f"{w} is not an involution")
+    return _fixed_and_neat(w)[1]
 
 
 def neat_pairs_oracle(s) -> int:

@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from heckeb.combinat import enumerate_good, stat_a, stat_c, stat_d
+from heckeb.combinat import enumerate_good, stat_a, stat_d
 from heckeb.hecke import (
     HeckeElement,
     mult,
@@ -22,7 +22,7 @@ from heckeb.signedperm import SignedPermutation, all_elements, generator, identi
 from heckeb import verify as V
 
 from combinat_helpers import succ
-from oracles import descents
+from oracles import descents, stat_c
 
 
 def _criterion(num, ok, description):

@@ -283,9 +283,9 @@ class TestRightFactors:
             right.append(h2)
             return mult(h1, h2)
 
-        def recording_times_ts(h, xs):
+        def recording_times_ts(h, letters):
             folds.append(h)
-            return hecke._times_ts(h, xs)
+            return hecke._times_ts(h, letters)
 
         for module in (hecke, verify, cli):
             monkeypatch.setattr(module, "mult", recording_mult)

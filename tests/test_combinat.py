@@ -12,9 +12,7 @@ from heckeb.combinat import (
     count_separated,
     enumerate_good,
     enumerate_separated,
-    neat_count,
     stat_a,
-    stat_c,
     stat_d,
     symmetric_involutions,
 )
@@ -26,7 +24,14 @@ from heckeb.signedperm import (
 )
 
 from combinat_helpers import pred, shift_separated, succ
-from oracles import is_good, is_involution, neat_pairs_oracle, pairwise_separated
+from oracles import (
+    is_good,
+    is_involution,
+    neat_count,
+    neat_pairs_oracle,
+    pairwise_separated,
+    stat_c,
+)
 
 
 def good_involutions_filter(k):

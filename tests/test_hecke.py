@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeb import hecke
@@ -658,42 +658,46 @@ class TestPool:
 
 @st.composite
 def fold_chains(draw):
-    """(h, xs): an element of rank 1-4 with two to four terms and small
-    random coefficients, and one to four random elements of the same rank."""
+    """(h, letters): an element of rank 1-4 with two to four terms and small
+    random coefficients, and up to twelve generator letters of the same
+    rank, drawn with repeats, so many of the words are not reduced."""
     rank = draw(st.integers(1, 4))
     coeff = st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), min_size=1, max_size=3
     ).filter(any)
     terms = draw(st.dictionaries(st.sampled_from(_POOLS[rank]), coeff, min_size=2, max_size=4))
-    xs = draw(st.lists(st.sampled_from(_POOLS[rank]), min_size=1, max_size=4))
-    return HeckeElement(rank, {w: BivarPoly(c) for w, c in terms.items()}), xs
+    letters = draw(st.lists(st.integers(0, rank - 1), max_size=12))
+    return HeckeElement(rank, {w: BivarPoly(c) for w, c in terms.items()}), letters
 
 
-def chained_mult(h, xs):
-    for x in xs:
-        h = mult(h, t_of(x))
+def chained_mult(h, letters):
+    for g in letters:
+        h = mult(h, t_of(generator(g, h.rank)))
     return h
 
 
 class TestPooledFold:
-    """_times_ts folds h along several factors in one pool, compacting it to
-    the live coefficients whenever it doubles."""
+    """_times_ts folds h along a word of generator letters, reduced or not,
+    in one pool, compacting it to the live coefficients whenever it doubles."""
 
     @settings(max_examples=50, deadline=None)
     @given(fold_chains())
+    @example((HeckeElement(1, {identity(1): ONE + P, generator(0, 1): Q}), [0, 0, 0]))
+    @example((unit(2), [0, 1] * 5))  # longer than the longest element of B_2
+    @example((t_of(identity(3).negate()), [2, 1, 2, 1, 2, 0, 0]))
     def test_matches_chained_products(self, chain):
-        h, xs = chain
-        assert hecke._times_ts(h, xs) == chained_mult(h, xs)
+        h, letters = chain
+        assert hecke._times_ts(h, letters) == chained_mult(h, letters)
 
     @settings(max_examples=50, deadline=None)
     @given(fold_chains())
     def test_matches_chained_products_when_every_fingerprint_collides(self, chain):
         # every id is 0 + j * 1, so keep leaves holes in the collision chain
-        h, xs = chain
-        expected = chained_mult(h, xs)
+        h, letters = chain
+        expected = chained_mult(h, letters)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hecke, "_FP_MODULUS", 1)
-            assert hecke._times_ts(h, xs) == expected
+            assert hecke._times_ts(h, letters) == expected
 
     def test_keep_holds_the_live_ids_and_their_memo_entries(self, monkeypatch):
         keep = hecke._Pool.keep
@@ -718,7 +722,8 @@ class TestPooledFold:
         monkeypatch.setattr(hecke._Pool, "keep", checking_keep)
         for w, factors in ((identity(3).negate(), 3), (make_w_nk(1, 3), 2)):
             h = t_of(w)
-            assert hecke._times_ts(h, [w] * factors) == chained_mult(h, [w] * factors)
+            letters = list(w.reduced_word()) * factors
+            assert hecke._times_ts(h, letters) == chained_mult(h, letters)
         assert any(kept for kept, _ in counts) and any(dropped for _, dropped in counts)
 
     def test_one_factor_compacts_once_its_pool_doubles(self, monkeypatch):
@@ -743,7 +748,7 @@ class TestPooledFold:
         assert all(before > limit for (before, _), limit in zip(sizes, limits))
 
     def test_long_run_pool_stays_within_twice_its_compacted_size(self, monkeypatch):
-        # ( t s1 s2 s3 )^32 at rank 4 folds runs of up to 16 letters; before
+        # ( t s1 s2 s3 )^32 at rank 4 is one fold along 128 letters; before
         # each letter the pool holds at most twice what the last compaction
         # left (so at most that plus one letter's dicts at any time)
         fold, keep = hecke._fold, hecke._Pool.keep

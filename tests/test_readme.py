@@ -5,8 +5,10 @@ import contextlib
 import doctest
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,24 @@ def test_every_public_name_resolves():
     assert len(set(heckeb.__all__)) == len(heckeb.__all__)
     for name in heckeb.__all__:
         assert getattr(heckeb, name) is not None, name
+
+
+def test_every_public_name_is_in_the_readme():
+    text = README.read_text()
+    missing = [name for name in heckeb.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not missing
+
+
+def test_every_module_is_reachable_after_importing_the_cli():
+    # a fresh interpreter: here every module has long been imported
+    names = [m.name for m in pkgutil.iter_modules(heckeb.__path__)]
+    code = "import heckeb.cli, sys; print(*[m for m in sys.argv[1:] if not hasattr(heckeb, m)])"
+    src = str(Path(heckeb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *names], capture_output=True, text=True, env=env, check=True
+    )
+    assert names and done.stdout == "\n"
 
 
 MODULES = [

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from heckeb.combinat import enumerate_good, stat_a, stat_c, symmetric_involutions
+from heckeb.combinat import enumerate_good, stat_a, symmetric_involutions
 from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb import verify as V
 
-from oracles import neat_pairs_oracle, p_coefficients
+from oracles import neat_pairs_oracle, p_coefficients, stat_c
 
 
 # -- reference oracles: one weight built per involution -------------------------

@@ -17,8 +17,6 @@ from heckeb.words import (
     parse_word,
 )
 
-from oracles import right_descent
-
 MAX_LETTERS = 20  # keeps the letter-by-letter reference product small
 
 
@@ -65,14 +63,11 @@ def seeded_expressions():
 EXPRESSIONS = seeded_expressions()
 
 
-def maximal_runs(letters, rank):
-    """The group elements of the maximal reduced runs of a letter sequence."""
-    runs = [identity(rank)]
+def group_element(rank, letters):
+    w = identity(rank)
     for g in letters:
-        if right_descent(runs[-1], g):
-            runs.append(identity(rank))
-        runs[-1] = runs[-1].apply_right(g)
-    return runs
+        w = w.apply_right(g)
+    return w
 
 
 class TestParse:
@@ -183,40 +178,41 @@ class TestEvaluate:
 
 
 class TestReducedRuns:
-    """Evaluation is one pooled fold of the unit, one factor per maximal reduced run."""
+    """Evaluation is one pooled fold of the unit along the expression's own
+    letters, reduced or not: the whole word is a single run."""
 
     def test_expressions_cover_every_feature(self):
         texts = [text for _, text, _ in EXPRESSIONS]
         for feature in ("( (", "^0", "w0", "w_nk(", "c("):
             assert any(feature in text for text in texts), feature
         assert any(not letters for _, _, letters in EXPRESSIONS)
+        # and words that are not reduced, which the fold takes as they are
+        assert any(len(ws) > group_element(rank, ws).length() for rank, _, ws in EXPRESSIONS)
 
     @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
     def test_every_right_factor_is_one_run(self, monkeypatch, rank, text, letters):
+        # one _times_ts call on the unit, along exactly the expression's letters
         calls = []
 
-        def recording_times_ts(h, xs):
-            xs = list(xs)
-            calls.append((h, xs))
-            return hecke._times_ts(h, xs)
+        def recording_times_ts(h, word):
+            word = list(word)
+            calls.append((h, word))
+            return hecke._times_ts(h, word)
 
         monkeypatch.setattr(words, "_times_ts", recording_times_ts)
         evaluate_word(parse_word(text), rank)
-        ((h, factors),) = calls
+        ((h, word),) = calls
         assert h == unit(rank)
-        assert factors == maximal_runs(letters, rank)
-        assert sum(x.length() for x in factors) == len(letters)
+        assert word == letters
 
     @pytest.mark.parametrize("rank,text,letters", EXPRESSIONS)
     def test_matches_letter_by_letter_product(self, rank, text, letters):
         element = evaluate_word(parse_word(text), rank)
         expected = unit(rank)
-        w = identity(rank)
         for g in letters:
             expected = mult(expected, t_of(generator(g, rank)))
-            w = w.apply_right(g)
         assert element == expected
-        assert element.specialize(1, 1) == {w: 1}
+        assert element.specialize(1, 1) == {group_element(rank, letters): 1}
 
     def test_nested_power_equals_flat_power(self):
         nested = evaluate_word(parse_word("( ( t s1 s2 )^16 )^2"), 3)
