@@ -45,25 +45,25 @@ from .verify import (
 )
 from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 3 s
-# and 90 MB (5 s and 105 MB with --json; k = 11 has four times as many
+# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 3-4 s
+# and 74 MB (5-6 s and 93 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
-# ``good`` about 2 s and 72 MB, 2.7 s with --json (k = 11 has four times as
-# many rows); and ``sep`` about 6 s and 150 MB, 9 s with --json (each step of
-# 2 in k costs about 2.7x).
+# ``good`` about 2-2.5 s and 70 MB, 3-3.5 s with --json (k = 11 has four
+# times as many rows); and ``sep`` about 6 s and 150 MB, 9 s with --json
+# (each step of 2 in k costs about 2.7x).
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 3 s and 67 MB (5-6 s and 143 MB with --json);
+# ``w0 w0`` at rank 6 takes about 3-4 s and 65 MB (5-7 s and 143 MB with --json);
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 3 s, 85 MB (11: 15 s, 345 MB); fk 4.4 s, 109 MB
-# (14: 20 s, 406 MB); base 10 s, 320 MB (12: 48 s, 1.3 GB); conj 7 s
+# one rank above it: w0k 3 s, 68 MB (11: 14 s, 250 MB); fk 4.4 s, 109 MB
+# (14: 20 s, 406 MB); base 10-12 s, 216 MB (12: 48-55 s, 840 MB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
-# (9: 22 s); main 23-31 s, 420 MB (n+k = 9 squares have millions of terms);
+# (9: 22 s); main 23-38 s, 306 MB (n+k = 9 squares have millions of terms);
 # binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
 VERIFY_MAX_RANK = {
     "w0k": 10,

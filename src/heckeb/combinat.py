@@ -134,9 +134,10 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
 def enumerate_good(k: int) -> list[SignedPermutation]:
     """All of G_k as windows, from the involutions s of S_k: -s with any
     subset of the fixed points of s made positive again.  Sorted by window."""
+    negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
     out = []
     for s in symmetric_involutions(k):
-        choices = [(v, -v) if v == i else (-v,) for i, v in enumerate(s, start=1)]
+        choices = [(v, negated[v]) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
         for window in itertools.product(*choices):
             out.append(tuple.__new__(SignedPermutation, window))
     out.sort()

@@ -55,23 +55,29 @@ start and the windows are decoded once, at the end:
   re-encoded.
 - Decoding.  The pool keeps only the live dicts, and each id becomes one
   BivarPoly around its pooled dict, shared by every term that carries it;
-  BivarPoly is never changed in place, so sharing is safe.  The windows are
-  decoded in C-level passes: XOR with the top bit of every field turns each
-  field into w(i) in two's complement, ``int.to_bytes`` writes it out and
-  one ``struct`` layout reads the signed window back.
+  BivarPoly is never changed in place, so sharing is safe.  The {window: id}
+  table is then traded for a coefficient list and one buffer of every
+  window's field bytes, so the window ints are freed before any tuple is
+  built.  The fields are decoded in C-level passes to canonical entries:
+  each reads as an unsigned int and maps to one of the 2*rank + 1 int
+  objects -rank..rank, so every decoded window shares them, where a fresh
+  int per entry below -5 would cost 28 bytes.  The layout, the flip mask
+  and that table are built once per rank (``_window_codec``).
 
 Cosets.  The parabolic subgroup B_n x S_k is handled by one closed form per
 coset pattern (``_coset_form``): ``distinguished_factor`` splits a window,
 ``parabolic_decompose`` returns the plain dict {x: component} keyed by the
 minimal representatives it builds, and ``trivial_quotient`` reads
-membership in B_n x S_k off the same pattern.  The keys are not checked
-again; the tests hold them to the Bjorner-Brenti condition on every element
-of B_1..B_5.
+membership in B_n x S_k off the same pattern.  The components share one
+window per element of B_n x S_k: equal keys of different components are
+one object.  The keys are not checked again; the tests hold them to the
+Bjorner-Brenti condition on every element of B_1..B_5.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter, mul
@@ -431,6 +437,32 @@ def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
+@lru_cache(maxsize=64)
+def _window_codec(rank: int, size: int) -> tuple:
+    """The window codec of a rank with fields of ``size`` bytes, built once
+    per (rank, size) and cached, as every part is immutable or never
+    changed.  Returns (width, zero, flip, layout, code, canonical):
+
+    - a field of ``width`` bits holds w(i) + ``zero``; the signed struct
+      ``layout`` packs a window as w(i) in two's complement, and XOR with
+      ``flip`` turns that into w(i) + zero;
+    - ``memoryview.cast(code)`` reads the fields of little-endian window
+      bytes as unsigned ints, and ``canonical`` maps each such field to its
+      value w(i): one int object per value -rank..rank, shared by every
+      decoded window.  (The keys are the fields as a native memoryview reads
+      them, so the table is right on either byte order.)
+    """
+    width = 8 * size
+    zero = 1 << (width - 1)
+    flip = sum(zero << (i * width) for i in range(rank))
+    code = _FIELD_CODES[size]
+    canonical = {
+        int.from_bytes((v + zero).to_bytes(size, "little"), sys.byteorder): v
+        for v in range(-rank, rank + 1)
+    }
+    return width, zero, flip, struct.Struct(f"<{rank}{code}"), code.upper(), canonical
+
+
 def _times_ts(h: HeckeElement, letters) -> HeckeElement:
     """h * T_{g_1} * ... * T_{g_L} in one pool, for generator letters g_i
     (0 is t, i >= 1 is s_i), reduced or not: h is encoded once, folded
@@ -447,10 +479,7 @@ def _times_ts(h: HeckeElement, letters) -> HeckeElement:
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
     if size is None:
         raise ValueError(f"rank {rank} does not fit in a window field")
-    width = 8 * size
-    zero = 1 << (width - 1)
-    flip = sum(zero << (i * width) for i in range(rank))
-    layout = struct.Struct(f"<{rank}{_FIELD_CODES[size]}")
+    width, zero, flip, layout, code, canonical = _window_codec(rank, size)
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
     cur: dict = {}
@@ -467,20 +496,21 @@ def _times_ts(h: HeckeElement, letters) -> HeckeElement:
             limit = 2 * len(pool.dicts)
 
     # Keep only the live dicts, one BivarPoly per id shared by every term
-    # that carries it, then decode the windows in C-level passes: the XOR
-    # turns each field v + zero into v in two's complement, which the
-    # struct layout reads back as the signed window.  (Unpacking key by key
-    # is as fast as iter_unpack over one joined buffer, and works at rank 0,
-    # whose zero-size layout iter_unpack refuses.)
+    # that carries it.  Then trade the {window: id} table for a coefficient
+    # list and one buffer of every window's field bytes, freeing the window
+    # ints before any tuple is built, and decode the fields in C-level passes
+    # to the canonical int objects, rank fields to a window.
     dicts = pool.dicts
     polys = {c: BivarPoly._raw(dicts[c]) for c in set(cur.values())}
     del pool, dicts
+    coefficients = list(map(polys.__getitem__, cur.values()))
+    fields = b"".join(map(int.to_bytes, cur, repeat(layout.size), repeat("little")))
+    del cur, polys
+    values = map(canonical.__getitem__, memoryview(fields).cast(code))
     windows = map(
-        tuple.__new__,
-        repeat(SignedPermutation),
-        map(layout.unpack, map(int.to_bytes, map(flip.__xor__, cur), repeat(layout.size), repeat("little"))),
+        tuple.__new__, repeat(SignedPermutation), zip(*[values] * rank) if rank else repeat(())
     )
-    return HeckeElement._raw(rank, dict(zip(windows, map(polys.__getitem__, cur.values()))))
+    return HeckeElement._raw(rank, dict(zip(windows, coefficients)))
 
 
 def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
@@ -571,7 +601,8 @@ def parabolic_decompose(
     component is supported on B_n x S_k.
 
     The factorization is built once per coset pattern (``_coset_form``) and
-    applied to each term by C-level maps over its window.
+    applied to each term by C-level maps over its window.  Every component
+    keys an element w' of B_n x S_k by the same window object.
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
@@ -579,6 +610,7 @@ def parabolic_decompose(
     classify = list(_pattern_classes(n, k)).__getitem__
     forms: dict = {}  # pattern -> (pick, signs, {w': coefficient})
     buckets: dict[SignedPermutation, dict] = {}
+    shared: dict = {}  # w' -> the one window of w' that every component holds
     new = tuple.__new__
     for w, c in h._terms.items():
         pattern = tuple(map(classify, w))
@@ -587,7 +619,8 @@ def parabolic_decompose(
             x, pick, signs = _coset_form(pattern, n)
             form = forms[pattern] = (pick, signs, buckets.setdefault(x, {}))
         pick, signs, terms = form
-        terms[new(SignedPermutation, map(mul, signs, pick(w)))] = c
+        u = new(SignedPermutation, map(mul, signs, pick(w)))
+        terms[shared.setdefault(u, u)] = c
     return {x: HeckeElement._raw(h.rank, terms) for x, terms in buckets.items()}
 
 

@@ -109,6 +109,13 @@ class TestEnumerateGood:
             if paired:  # a(-w) counts the values with w(i) = -i
                 assert stat_a(w.negate()) == sum(1 for i, v in enumerate(w, start=1) if v == -i)
 
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_windows_share_their_entries(self, k):
+        # one int object per value -k..k across all of G_k, not a fresh -v
+        # per involution
+        entries = {id(v) for w in enumerate_good(k) for v in w}
+        assert len(entries) <= 2 * k + 1
+
     def test_negative_k_rejected(self):
         for enumerate_ in (enumerate_good, symmetric_involutions):
             with pytest.raises(ValueError, match="nonnegative"):

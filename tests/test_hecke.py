@@ -340,6 +340,28 @@ class TestParabolicDecompose:
             dec = parabolic_decompose(h, 2, 2)
             assert reassemble(dec, 4) == h
 
+    @staticmethod
+    def assert_components_share_keys(dec):
+        first = {}  # w' -> the first key object met for it
+        for comp in dec.values():
+            for u in comp.support():
+                assert first.setdefault(u, u) is u, u
+
+    def test_components_of_the_square_share_keys(self):
+        w = make_w_nk(2, 5)
+        dec = parabolic_decompose(mult(t_of(w), t_of(w)), 2, 5)
+        self.assert_components_share_keys(dec)
+        keys = [u for comp in dec.values() for u in comp.support()]
+        # 68,726 terms over the 960 elements of B_2 x S_5
+        assert (len(keys), len({id(u) for u in keys})) == (68726, 960)
+
+    @pytest.mark.parametrize("rank", range(1, 5))
+    def test_components_share_keys_on_every_split(self, rank):
+        elements = list(all_elements(rank))
+        h = HeckeElement(rank, {w: BivarPoly(i + 1) for i, w in enumerate(elements)})
+        for n in range(rank + 1):
+            self.assert_components_share_keys(parabolic_decompose(h, n, rank - n))
+
 
 class TestTrivialQuotient:
     def test_scalar_at_rank_zero(self):
@@ -654,6 +676,35 @@ class TestPool:
         for (pe, qe), fp in table.items():
             assert fp == pow(hecke._FP_P, pe, mod) * pow(hecke._FP_Q, qe, mod) % mod
         assert square == oracle_mult(t_of(w), t_of(w))
+
+
+class TestSharedWindows:
+    """Decoded windows hold one int object per value -rank..rank, and the
+    window codec of a rank is built once."""
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (make_w_nk(0, 8), make_w_nk(0, 8)),
+            (make_w_nk(2, 5), make_w_nk(2, 5)),
+            # w0 of B_130 times w0 of B_2, t s1 t s1: every letter is a descent, and
+            # most entries lie below -5, past Python's small-int cache
+            (identity(130).negate(), SignedPermutation([-1, -2] + list(range(3, 131)))),
+        ],
+        ids=["w_0,8", "w_2,5", "rank-130"],
+    )
+    def test_windows_share_their_entries(self, x, y):
+        product = mult(t_of(x), t_of(y))
+        assert len(product._terms) > 1
+        entries = {id(v) for w in product.support() for v in w}
+        assert len(entries) <= 2 * product.rank + 1
+
+    def test_codec_is_built_once_per_rank(self):
+        hecke._window_codec.cache_clear()
+        for w in all_elements(3):
+            mult(t_of(w), t_of(w))
+        evaluate_word(parse_word("( t s1 )^3 s2"), 3)
+        assert hecke._window_codec.cache_info().misses == 1
 
 
 @st.composite
