@@ -61,14 +61,14 @@ SEP_MAX_K = 28
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
 # one rank above it: w0k 3 s, 68 MB (11: 14 s, 250 MB); fk 4.4 s, 109 MB
-# (14: 20 s, 406 MB); base 10-12 s, 216 MB (12: 48-55 s, 840 MB); conj 7 s
+# (14: 20 s, 406 MB); base 3.4-3.9 s, 109 MB (14: 17 s, 407 MB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
 # (9: 22 s); main 23-38 s, 306 MB (n+k = 9 squares have millions of terms);
 # binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
 VERIFY_MAX_RANK = {
     "w0k": 10,
     "fk": 13,
-    "base": 11,
+    "base": 13,
     "conj": 10,
     "tc": 60,
     "baby": 8,
@@ -85,17 +85,12 @@ FK_MAX_K = {"direct": 13, "recurrence": 90, "separated": 21}
 
 
 def _print_element(h: HeckeElement) -> None:
-    terms = [(str(w), c) for w, c in h.sorted_terms()]
-    if not terms:
+    if not h:
         print("0")
         return
-    width = max(len(w) for w, _ in terms)
-    texts = {}  # id(c) -> str(c): terms share one BivarPoly per distinct coefficient
-    for w, c in terms:
-        text = texts.get(id(c))
-        if text is None:
-            text = texts[id(c)] = str(c)
-        print(f"T{w:<{width}}  {text}")
+    width = max(map(len, map(str, h.support())))
+    for w, text in h._formatted_terms(str):
+        print(f"T{str(w):<{width}}  {text}")
 
 
 def _emit_json(payload) -> None:

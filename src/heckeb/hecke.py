@@ -102,7 +102,8 @@ def _sort_key(w: SignedPermutation):
 
 
 class HeckeElement:
-    """A sparse element sum_w c_w T_w of the Hecke algebra of B_rank."""
+    """A sparse element sum_w c_w T_w of the Hecke algebra of B_rank.  Its
+    text formats each distinct coefficient object once (``_formatted_terms``)."""
 
     __slots__ = ("rank", "_terms")
 
@@ -212,10 +213,20 @@ class HeckeElement:
 
     # -- formatting ----------------------------------------------------------------
 
+    def _formatted_terms(self, fmt):
+        """(w, fmt(c)) in ``sorted_terms`` order, with fmt called once per
+        distinct coefficient object: a product's terms share few of them."""
+        done: dict = {}  # id(c) -> fmt(c); self keeps every c alive
+        for w, c in self.sorted_terms():
+            text = done.get(id(c))
+            if text is None:
+                text = done[id(c)] = fmt(c)
+            yield w, text
+
     def __str__(self):
         if not self._terms:
             return "0"
-        return " + ".join(f"({c})*T{w}" for w, c in self.sorted_terms())
+        return " + ".join(f"({c})*T{w}" for w, c in self._formatted_terms(str))
 
     def __repr__(self):
         return f"HeckeElement(rank={self.rank}, {len(self._terms)} terms)"
@@ -223,14 +234,8 @@ class HeckeElement:
     def to_json(self) -> dict:
         """The terms in ``sorted_terms`` order; terms that share a coefficient
         object share its one encoded list, so treat the result as read-only."""
-        encoded: dict = {}  # id(c) -> c.to_json(); self keeps every c alive
-        terms = []
-        for w, c in self.sorted_terms():
-            coeff = encoded.get(id(c))
-            if coeff is None:
-                coeff = encoded[id(c)] = c.to_json()
-            terms.append({"w": list(w), "coeff": coeff})
-        return {"rank": self.rank, "terms": terms}
+        terms = self._formatted_terms(BivarPoly.to_json)
+        return {"rank": self.rank, "terms": [{"w": list(w), "coeff": c} for w, c in terms]}
 
     @classmethod
     def from_json(cls, data) -> "HeckeElement":

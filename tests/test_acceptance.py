@@ -48,7 +48,7 @@ def test_criterion_02_fk_triple_agreement():
 
 
 def test_criterion_03_base_case():
-    ok = all(V.verify_base_case(k, engine_max=6).passed for k in range(2, 9))
+    ok = all(V.verify_base_case(k).passed for k in range(2, 9))
     ok = ok and reduce_mod_cyclotomic(V.f_k_direct(2), cyclotomic(2)) == ONE + P**2
     ok = ok and reduce_mod_cyclotomic(V.f_k_direct(3), cyclotomic(3)) == ONE - P**3
     _criterion(3, ok, "f_k = 1 + (-p)^k mod phi_k, k=2..8, incl. 1+p^2 and 1-p^3")

@@ -461,6 +461,18 @@ class TestFormats:
     def test_str_of_zero(self):
         assert str(HeckeElement(2, {})) == "0"
 
+    def test_str_formats_each_coefficient_object_once(self, monkeypatch):
+        h = evaluate_word(parse_word("w_nk(0,3)^2"), 3)
+        terms = h.sorted_terms()
+        expected = " + ".join(f"({c})*T{w}" for w, c in terms)
+        distinct = {id(c) for _, c in terms}
+        assert len(distinct) < len(terms)
+        calls = []
+        text = BivarPoly.__str__
+        monkeypatch.setattr(BivarPoly, "__str__", lambda c: calls.append(id(c)) or text(c))
+        assert str(h) == expected
+        assert sorted(calls) == sorted(distinct)
+
     def test_module_ops(self):
         a = t_of(generator(0, 2))
         b = t_of(generator(1, 2))

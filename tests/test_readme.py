@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import heckeb
+from heckeb import cli, words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,3 +76,23 @@ def test_package_exports_are_module_exports():
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests_pass(module):
     assert doctest.testmod(module).failed == 0
+
+
+def test_cap_table_states_every_current_cap():
+    text = README.read_text()
+    rows = text[text.index("| input | cap |") :].split("\n\n", 1)[0].splitlines()[2:]
+    cells = [row.strip("| ").split(" | ") for row in rows]
+    stated = {input_: int(re.search(r"\d+", cap).group()) for input_, cap, _ in cells}
+    caps = {
+        "`square-w0k --k`": cli.SQUARE_MAX_K,
+        **{f"`fk --k --method {m}`": cap for m, cap in cli.FK_MAX_K.items()},
+        "`good --k`": cli.GOOD_MAX_K,
+        "`sep --k`": cli.SEP_MAX_K,
+        "`mult --rank`": cli.MULT_MAX_RANK,
+        "`mult` exponents": words.MAX_EXPONENT,
+        "`mult` nested exponents": words.MAX_EXPONENT,
+        "`mult` group nesting": words.MAX_DEPTH,
+        **{f"`verify --suite {s} --max-rank`": cap for s, cap in cli.VERIFY_MAX_RANK.items()},
+        "`verify --suite all --max-rank`": min(cli.VERIFY_MAX_RANK.values()),
+    }
+    assert stated == caps

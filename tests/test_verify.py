@@ -222,7 +222,16 @@ class TestBaseCase:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_pass_with_engine(self, k):
-        assert V.verify_base_case(k, engine_max=6).passed
+        # the engine side of the same value is verify_main(0, k) (TestMain)
+        assert V.verify_base_case(k).passed
+
+    def test_makes_no_hecke_product(self, monkeypatch):
+        def product(*args):
+            raise AssertionError("verify_base_case made a Hecke product")
+
+        monkeypatch.setattr(V, "z_coefficient", product)
+        monkeypatch.setattr(V, "mult", product)
+        assert all(V.verify_base_case(k).passed for k in range(2, 9))
 
     def test_unreduced_f2_differs(self):
         # before cyclotomic reduction the trivial quotient is f_2, not 1 + p^2
@@ -266,6 +275,17 @@ class TestMain:
     @pytest.mark.parametrize("n,k", [(0, 2), (1, 2), (0, 3), (2, 2)])
     def test_pass(self, n, k):
         assert V.verify_main(n, k).passed
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_witness_when_the_n0_coefficient_is_off(self, monkeypatch, k):
+        # the engine side of the base case f_k = 1 + (-p)^k mod phi_k
+        z_coefficient = V.z_coefficient
+        monkeypatch.setattr(
+            V, "z_coefficient", lambda n, k: z_coefficient(n, k).scale(P if n == 0 else 1)
+        )
+        report = V.verify_main(0, k)
+        target = reduce_mod_cyclotomic(ONE + (-P) ** k, cyclotomic(k))
+        assert report.witness == [{"where": "T[]", "lhs": str(P * target), "rhs": str(target)}]
 
     def test_witness_on_forced_mismatch(self, monkeypatch):
         monkeypatch.setattr(V, "hecke_parameter", lambda k: P**k)
