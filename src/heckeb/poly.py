@@ -14,7 +14,6 @@ ascending p-exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -234,12 +233,40 @@ P = BivarPoly.monomial(1, 1, 0)
 Q = BivarPoly.monomial(1, 0, 1)
 
 
-@dataclass(frozen=True)
-class CyclotomicModulus:
+class _Frozen:
+    """An immutable record.  A subclass names its fields in ``__slots__`` and
+    sets them in its own ``__init__`` with ``object.__setattr__``.  A record
+    is equal only to a record of its own class with equal fields, and its
+    hash is that of its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CyclotomicModulus(_Frozen):
     """The k-th cyclotomic polynomial, ascending coefficients in q, monic."""
 
-    k: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("k", "coeffs")
+
+    def __init__(self, k: int, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

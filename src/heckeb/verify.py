@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq
 
@@ -74,15 +73,22 @@ __all__ = [
 WITNESS_LIMIT = 10
 
 
-@dataclass
 class VerificationReport:
     """Pass/fail outcome of one statement at one parameter point."""
 
-    statement: str
-    params: dict
-    status: str  # "pass" or "fail"
-    witness: list | None = None
-    ms: float = 0.0
+    def __init__(
+        self,
+        statement: str,
+        params: dict,
+        status: str,
+        witness: list | None = None,
+        ms: float = 0.0,
+    ):
+        self.statement = statement
+        self.params = params
+        self.status = status  # "pass" or "fail"
+        self.witness = witness
+        self.ms = ms
 
     @property
     def passed(self) -> bool:

@@ -30,11 +30,11 @@ and flattening recurse once per level.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 # Evaluation never calls mult; the name stays a module attribute because the
 # traced benchmark run (perfbench/spans.py) wraps words.mult.
 from .hecke import HeckeElement, _times_ts, mult, unit  # noqa: F401
+from .poly import _Frozen
 from .signedperm import identity, make_cycle, make_w_nk
 
 __all__ = [
@@ -56,41 +56,50 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class GenAtom:
-    index: int  # 0 is t, i >= 1 is s_i
+class GenAtom(_Frozen):
+    __slots__ = ("index",)  # 0 is t, i >= 1 is s_i
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
     def __str__(self):
         return "t" if self.index == 0 else f"s{self.index}"
 
 
-@dataclass(frozen=True)
-class LongestAtom:
+class LongestAtom(_Frozen):
+    __slots__ = ()
+
     def __str__(self):
         return "w0"
 
 
-@dataclass(frozen=True)
-class WnkAtom:
-    n: int
-    k: int
+class WnkAtom(_Frozen):
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     def __str__(self):
         return f"w_nk({self.n},{self.k})"
 
 
-@dataclass(frozen=True)
-class CycleAtom:
-    n: int
-    k: int
+class CycleAtom(_Frozen):
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     def __str__(self):
         return f"c({self.n},{self.k})"
 
 
-@dataclass(frozen=True)
-class GroupAtom:
-    expr: "WordExpression"
+class GroupAtom(_Frozen):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: WordExpression):
+        object.__setattr__(self, "expr", expr)
 
     def __str__(self):
         return f"( {self.expr} )"
@@ -100,23 +109,25 @@ MAX_EXPONENT = 32
 MAX_DEPTH = 32
 
 
-@dataclass(frozen=True)
-class WordFactor:
-    atom: object
-    exponent: int = 1
+class WordFactor(_Frozen):
+    __slots__ = ("atom", "exponent")
 
-    def __post_init__(self):
-        if not 0 <= self.exponent <= MAX_EXPONENT:
-            raise ValueError(f"exponent {self.exponent} is outside 0..{MAX_EXPONENT}")
+    def __init__(self, atom, exponent: int = 1):
+        if not 0 <= exponent <= MAX_EXPONENT:
+            raise ValueError(f"exponent {exponent} is outside 0..{MAX_EXPONENT}")
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "exponent", exponent)
 
     def __str__(self):
         text = str(self.atom)
         return text if self.exponent == 1 else f"{text}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class WordExpression:
-    factors: tuple[WordFactor, ...]
+class WordExpression(_Frozen):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[WordFactor, ...]):
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self):
         return " ".join(str(f) for f in self.factors)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heckeb.poly import (
     BivarPoly,
+    CyclotomicModulus,
     ONE,
     P,
     Q,
@@ -142,6 +143,15 @@ class TestCyclotomic:
         phi = lambda k: sum(1 for i in range(1, k + 1) if math.gcd(i, k) == 1)
         for k in range(1, 20):
             assert cyclotomic(k).degree == phi(k)
+
+    def test_value_semantics(self):
+        mod = cyclotomic(6)
+        assert (mod.k, mod.coeffs, mod.degree, str(mod)) == (6, (1, -1, 1), 2, "1 - q + q^2")
+        fresh = CyclotomicModulus(6, mod.coeffs)
+        assert fresh == mod and hash(fresh) == hash(mod)
+        assert mod != CyclotomicModulus(3, (1, 1, 1)) and mod != (6, (1, -1, 1))
+        with pytest.raises(AttributeError):
+            mod.k = 3
 
 
 class TestReduce:

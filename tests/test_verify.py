@@ -328,6 +328,18 @@ class TestReports:
         assert data["status"] == "pass" and data["witness"] is None
         json.dumps(data)  # serializable
 
+    def test_defaults(self):
+        report = V.VerificationReport("x", {}, "pass")
+        assert report.witness is None and report.ms == 0.0 and report.passed
+        assert report.to_json() == {
+            "statement": "x",
+            "params": {},
+            "status": "pass",
+            "witness": None,
+            "ms": 0.0,
+        }
+        assert str(report) == "[PASS] x()  0.0 ms"
+
     def test_str_contains_status(self):
         assert "[PASS]" in str(V.verify_binom(3))
 

@@ -11,6 +11,7 @@ from heckeb.words import (
     MAX_DEPTH,
     MAX_EXPONENT,
     GenAtom,
+    WnkAtom,
     WordFactor,
     WordSyntaxError,
     evaluate_word,
@@ -84,6 +85,26 @@ class TestParse:
         expr = parse_word(text)
         assert parse_word(str(expr)) == expr
 
+    def test_nodes_equal_only_within_their_class(self):
+        # same fields, different token: w_nk(1,2) and c(1,2) differ
+        assert parse_word("w_nk(1,2)") != parse_word("c(1,2)")
+        assert parse_word("w_nk(1,2)") == parse_word("w_nk( 1 , 2 )")
+        assert GenAtom(1) != (1,) and WnkAtom(1, 2) != (1, 2)
+        assert WordFactor(GenAtom(1)) == WordFactor(GenAtom(1), 1)
+        assert len({parse_word("t s1"), parse_word("t  s1"), parse_word("s1 t")}) == 2
+
+    def test_nodes_are_immutable(self):
+        expr = parse_word("t s1")
+        with pytest.raises(AttributeError):
+            GenAtom(1).index = 2
+        with pytest.raises(AttributeError):
+            expr.factors = ()
+        with pytest.raises(AttributeError):
+            del expr.factors
+        with pytest.raises(AttributeError):
+            expr.extra = 1
+        assert str(expr) == "t s1"
+
     def test_whitespace_insensitive(self):
         assert parse_word(" t   s1\tt ") == parse_word("t s1 t")
 
@@ -105,7 +126,7 @@ class TestParse:
         with pytest.raises(WordSyntaxError) as err:
             parse_word(f"t s1^{MAX_EXPONENT + 1}")
         assert err.value.offset == 5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^exponent 33 is outside 0\.\.{MAX_EXPONENT}$"):
             WordFactor(GenAtom(1), MAX_EXPONENT + 1)
 
     @pytest.mark.parametrize(
