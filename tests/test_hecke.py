@@ -82,6 +82,11 @@ def reassemble(dec, rank):
     return total
 
 
+def numbered_element(rank):
+    """sum_i (i + 1) * T_{w_i} over every element w_i of B_rank."""
+    return HeckeElement(rank, {w: BivarPoly(i + 1) for i, w in enumerate(all_elements(rank))})
+
+
 def _oracle_fold_right(terms, g):
     """Right-multiply a raw {window: {(pe, qe): int}} mapping by T_g."""
     dp, dq = (1, 0) if g == 0 else (0, 1)
@@ -357,10 +362,94 @@ class TestParabolicDecompose:
 
     @pytest.mark.parametrize("rank", range(1, 5))
     def test_components_share_keys_on_every_split(self, rank):
-        elements = list(all_elements(rank))
-        h = HeckeElement(rank, {w: BivarPoly(i + 1) for i, w in enumerate(elements)})
+        h = numbered_element(rank)
         for n in range(rank + 1):
             self.assert_components_share_keys(parabolic_decompose(h, n, rank - n))
+
+
+class TestCosetFilter:
+    """``parabolic_decompose(h, n, k, cosets)`` against the full decomposition
+    restricted to the requested cosets, on every element of B_1..B_5 and
+    every split n + k of the rank."""
+
+    @staticmethod
+    def splits(rank):
+        """(n, k, h, full decomposition, {x: members of the coset of x})."""
+        h = numbered_element(rank)
+        for n in range(rank + 1):
+            k = rank - n
+            members = {}
+            for w in h.support():
+                members.setdefault(distinguished_factor(w, n, k)[1], []).append(w)
+            yield n, k, h, parabolic_decompose(h, n, k), members
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_single_representative(self, rank):
+        for n, k, h, full, _ in self.splits(rank):
+            for x in full:
+                dec = parabolic_decompose(h, n, k, [x])
+                assert dec == {x: full[x]}, (x, n, k)
+                TestParabolicDecompose.assert_components_share_keys(dec)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_every_representative(self, rank):
+        for n, k, h, full, _ in self.splits(rank):
+            dec = parabolic_decompose(h, n, k, set(full))
+            assert dec == full, (n, k)
+            TestParabolicDecompose.assert_components_share_keys(dec)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_no_cosets(self, rank):
+        for n, k, h, _, _ in self.splits(rank):
+            assert parabolic_decompose(h, n, k, ()) == {}
+            assert parabolic_decompose(h, n, k, iter([])) == {}
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_non_minimal_member_keys_the_representative(self, rank):
+        checked = 0
+        for n, k, h, full, members in self.splits(rank):
+            for x, coset in members.items():
+                w = coset[-1] if coset[-1] != x else coset[0]
+                if w == x:
+                    continue  # a coset of one element
+                dec = parabolic_decompose(h, n, k, [w])
+                assert dec == {x: full[x]}, (w, n, k)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_coset_without_support_gets_no_key(self, rank):
+        for n, k, h, full, members in self.splits(rank):
+            reps = list(full)
+            gone, kept = reps[0], reps[-1]
+            rest = HeckeElement(
+                rank, {w: c for w, c in h._terms.items() if w not in members[gone]}
+            )
+            assert parabolic_decompose(rest, n, k, [gone]) == {}, (n, k)
+            want = {} if kept == gone else {kept: full[kept]}
+            assert parabolic_decompose(rest, n, k, [gone, kept]) == want, (n, k)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_duplicates(self, rank):
+        for n, k, h, full, members in self.splits(rank):
+            for x, coset in members.items():
+                dec = parabolic_decompose(h, n, k, [x, coset[-1], x, *coset])
+                assert dec == {x: full[x]}, (x, n, k)
+
+    def test_windows_need_not_be_signed_permutations(self):
+        h = numbered_element(3)
+        w = make_w_nk(1, 2)
+        assert parabolic_decompose(h, 1, 2, [tuple(w)]) == parabolic_decompose(h, 1, 2, [w])
+
+    @pytest.mark.parametrize("rank", range(1, 4))
+    def test_wrong_rank_window_raises(self, rank):
+        h = numbered_element(rank)
+        for n in range(rank + 1):
+            for bad in (identity(rank + 1), identity(rank - 1)):
+                with pytest.raises(ValueError):
+                    parabolic_decompose(h, n, rank - n, [bad])
+                with pytest.raises(ValueError):
+                    parabolic_decompose(h, n, rank - n, [identity(rank), bad])
 
 
 class TestTrivialQuotient:
@@ -428,6 +517,19 @@ class TestZCoefficient:
             lambda c: reduce_mod_cyclotomic(c, cyclotomic(2))
         )
         assert out == HeckeElement(1, {identity(1): ONE + P**2})
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            pytest.param(rank - k, k, marks=[pytest.mark.slow] if rank > 6 else [])
+            for rank in range(1, 9)
+            for k in range(1, rank + 1)
+        ],
+    )
+    def test_matches_full_extraction(self, n, k):
+        w = make_w_nk(n, k)
+        full = parabolic_decompose(mult(t_of(w), t_of(w)), n, k)
+        assert z_coefficient(n, k) == full[w]
 
     def test_double_coset_support_vanishes(self):
         # products T_w T_w' with w outside the coset have no w_{n,k} component
