@@ -63,7 +63,7 @@ MULT_MAX_RANK = 6
 # one rank above it: w0k 3 s, 68 MB (11: 14 s, 250 MB); fk 4.4 s, 109 MB
 # (14: 20 s, 406 MB); base 3.4-3.9 s, 109 MB (14: 17 s, 407 MB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
-# (9: 22 s); main 15-20 s, 305 MB (n+k = 9 squares have millions of terms);
+# (9: 22 s); main 22-24 s, 140 MB (8: 2.7 s, 36 MB; each step about 8x);
 # binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
 VERIFY_MAX_RANK = {
     "w0k": 10,
@@ -72,7 +72,7 @@ VERIFY_MAX_RANK = {
     "conj": 10,
     "tc": 60,
     "baby": 8,
-    "main": 8,
+    "main": 9,
     "binom": 28,
 }
 

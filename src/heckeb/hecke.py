@@ -71,13 +71,14 @@ minimal representatives it builds, and ``trivial_quotient`` reads
 membership in B_n x S_k off the same pattern.  The components share one
 window per element of B_n x S_k: equal keys of different components are
 one object.  The keys are not checked again; the tests hold them to the
-Bjorner-Brenti condition on every element of B_1..B_5.  A caller that reads
-only some components names their cosets (``cosets``, any member of each);
-the terms of other cosets are then dropped by their pattern in one C-level
-pass before the per-term factoring.  The filter sits inside
-``parabolic_decompose``, not in front of it: the function still takes the
-whole element, so a trace of the extraction sees and charges the same terms
-with or without it, and the patterns stay private to the coset code.
+Bjorner-Brenti condition on every element of B_1..B_5.
+
+Pruned products.  A caller that reads only some cosets names them
+(``mult``'s ``cosets``).  Right multiplication by T_g sends a term with
+pattern P to P or to P * g (``_pattern_times``), so the fold keeps one
+bucket per pattern and drops, after each letter, every bucket that cannot
+reach a named coset by the end of the word: one set lookup per bucket, not
+per term.  Only the named cosets' terms are decoded.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter, mul
 
 from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw
@@ -383,13 +384,14 @@ class _Pool:
         return pair
 
 
-def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
-    """Right-multiply an int-keyed {window: id} mapping by T_g.
+def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool, stay: dict, move: dict) -> None:
+    """Right-multiply an int-keyed {window: id} mapping by T_g, adding into
+    ``stay`` the terms left at w and into ``move`` those at wg.
 
     Length-increasing terms move with their id; the rest split by the
     quadratic relation T_w T_g = param*T_{wg} + (1-param)*T_w with param p
-    (g = 0) or q.  A field holds its value plus ``zero``.  Coefficient
-    arithmetic is a memo lookup in ``pool``.
+    (g = 0) or q.  An ordinary fold passes one dict as both.  A field holds
+    its value plus ``zero``.  Coefficient arithmetic is a memo lookup in ``pool``.
     """
     mask = (1 << width) - 1
     if g == 0:
@@ -402,8 +404,7 @@ def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
     high = low + width
     sums = pool.sums
     p = g == 0
-    out: dict = {}
-    get = out.get
+    stay_get, move_get = stay.get, move.get
     for w, c in terms.items():
         if p:
             a = w & mask
@@ -419,29 +420,28 @@ def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool) -> dict:
             if pair is None:
                 pair = pool.split(c, p)
             rest, c = pair  # (1 - param) * c stays at w, param * c moves to ws
-            t = get(w)
+            t = stay_get(w)
             if t is None:
-                out[w] = rest
+                stay[w] = rest
             else:
                 s = sums.get((t, rest))
                 if s is None:
                     s = pool.add(t, rest)
                 if s:
-                    out[w] = s
+                    stay[w] = s
                 else:
-                    del out[w]
-        t = get(ws)
+                    del stay[w]
+        t = move_get(ws)
         if t is None:
-            out[ws] = c
+            move[ws] = c
         else:
             s = sums.get((t, c))
             if s is None:
                 s = pool.add(t, c)
             if s:
-                out[ws] = s
+                move[ws] = s
             else:
-                del out[ws]
-    return out
+                del move[ws]
 
 
 # struct codes of the signed whole-byte field widths a window may use
@@ -474,7 +474,7 @@ def _window_codec(rank: int, size: int) -> tuple:
     return width, zero, flip, struct.Struct(f"<{rank}{code}"), code.upper(), canonical
 
 
-def _times_ts(h: HeckeElement, letters) -> HeckeElement:
+def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     """h * T_{g_1} * ... * T_{g_L} in one pool, for generator letters g_i
     (0 is t, i >= 1 is s_i), reduced or not: h is encoded once, folded
     along the letters and decoded once.
@@ -485,26 +485,55 @@ def _times_ts(h: HeckeElement, letters) -> HeckeElement:
     at an amortised O(1) cost per pooled dict.  The fold runs on int windows
     and pooled coefficient ids, as described in the module docstring; h is
     not changed.
+
+    ``cosets=(n, k, patterns)`` keeps only the terms whose coset pattern is
+    one of ``patterns``: the running product is bucketed {pattern: {window:
+    id}}, and after letter j every bucket outside A_{j+1} (``_reachable``)
+    is dropped whole.
     """
     rank = h.rank
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
     if size is None:
         raise ValueError(f"rank {rank} does not fit in a window field")
     width, zero, flip, layout, code, canonical = _window_codec(rank, size)
+    reach = pattern = None
+    if cosets is not None:
+        n, k, patterns = cosets
+        classify = _pattern_classes(n, k).__getitem__
+        reach = _reachable(patterns, letters)
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
-    cur: dict = {}
+    buckets: dict = {}  # pattern, or None without cosets -> {window: id}
     for w, c in h._terms.items():
+        if reach is not None:
+            pattern = tuple(map(classify, w))
+            if pattern not in reach[0]:
+                continue
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
-        cur[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
+        buckets.setdefault(pattern, {})[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
     limit = 2 * len(pool.dicts)
-    for g in letters:
-        cur = _fold(cur, g, width, zero, pool)
+    for j, g in enumerate(letters):
+        out: dict = {}
+        for pattern in buckets:
+            if reach is None:
+                stay = move = out.setdefault(None, {})
+            else:
+                # a side that cannot reach a kept coset is folded into a
+                # dict dropped at once; by A_j's definition one side is kept
+                kept, moved = reach[j + 1], _pattern_times(pattern, g)
+                stay = out.setdefault(pattern, {}) if pattern in kept else {}
+                move = out.setdefault(moved, {}) if moved in kept else {}
+            _fold(buckets[pattern], g, width, zero, pool, stay, move)
+        buckets = out
         if len(pool.dicts) > limit:
-            pool.keep(cur.values())
+            pool.keep(chain.from_iterable(map(dict.values, buckets.values())))
             limit = 2 * len(pool.dicts)
+    cur = buckets.popitem()[1] if buckets else {}
+    for pattern in buckets:
+        cur.update(buckets[pattern])
+    buckets = out = stay = move = None  # cur alone holds the product, for the decode to free
 
     # Keep only the live dicts, one BivarPoly per id shared by every term
     # that carries it.  Then trade the {window: id} table for a coefficient
@@ -524,7 +553,7 @@ def _times_ts(h: HeckeElement, letters) -> HeckeElement:
     return HeckeElement._raw(rank, dict(zip(windows, coefficients)))
 
 
-def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+def mult(h1: HeckeElement, h2: HeckeElement, cosets=None) -> HeckeElement:
     """Product in the Hecke algebra, linear in h2: the sum over the terms
     c * T_x of h2 of (h1 * T_x) * c.
 
@@ -532,11 +561,29 @@ def mult(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     right factor T_x with coefficient 1 is that fold alone.  That the word
     does not matter follows from the braid relations (and is exercised by
     the tests).  Neither factor is changed.
+
+    ``cosets=(n, k, windows)``, with windows of rank n + k = h1.rank,
+    returns only the terms of h1 * h2 in the cosets (B_n x S_k) x of the
+    windows x (any member of a coset selects it), and the folds drop every
+    term that cannot reach one of them.  The default, None, is the whole product.
     """
     h1._check_rank(h2)
+    if cosets is not None:
+        n, k, windows = cosets
+        if n < 0 or k < 0 or n + k != h1.rank:
+            raise ValueError(f"B_{n} x S_{k} is not a parabolic subgroup of B_{h1.rank}")
+        classify = _pattern_classes(n, k).__getitem__
+        patterns = set()
+        for x in windows:
+            if not isinstance(x, SignedPermutation):
+                x = SignedPermutation(x)
+            if len(x) != n + k:
+                raise ValueError(f"coset window {x} has rank {len(x)}, not n + k = {n + k}")
+            patterns.add(tuple(map(classify, x)))
+        cosets = n, k, patterns
     out = HeckeElement._raw(h1.rank, {})
     for x, c in h2._terms.items():
-        term = _times_ts(h1, x.reduced_word())
+        term = _times_ts(h1, x.reduced_word(), cosets)
         if c != ONE:
             term = term.scale(c)
         out = out + term if out._terms else term
@@ -554,6 +601,27 @@ def _pattern_classes(n: int, k: int) -> tuple:
         classes[v] = 1
         classes[-v] = -1
     return tuple(classes)
+
+
+def _pattern_times(pattern: tuple, g: int) -> tuple:
+    """The pattern of w * g for any w of the given pattern: t flips the sign
+    at position 1 and s_i swaps positions i and i + 1.  So right
+    multiplication by T_g sends a term with pattern P to P (the (1 - param)
+    part at a descent) or to P * g."""
+    if g == 0:
+        return (-pattern[0],) + pattern[1:]
+    return pattern[: g - 1] + (pattern[g], pattern[g - 1]) + pattern[g + 1 :]
+
+
+def _reachable(patterns: set, letters) -> list:
+    """[A_1, ..., A_{L+1}] for the letters g_1 ... g_L: A_{L+1} = patterns
+    and A_j = A_{j+1} | A_{j+1} * g_j, the patterns of the terms that can
+    still reach one of ``patterns`` when letters g_j ... g_L remain."""
+    reach = [patterns]
+    for g in reversed(letters):
+        reach.append(reach[-1] | {_pattern_times(q, g) for q in reach[-1]})
+    reach.reverse()
+    return reach
 
 
 @lru_cache(maxsize=256)
@@ -604,19 +672,10 @@ def distinguished_factor(
     return tuple.__new__(SignedPermutation, map(mul, signs, pick(w))), x
 
 
-def parabolic_decompose(
-    h: HeckeElement, n: int, k: int, cosets=None
-) -> dict[SignedPermutation, HeckeElement]:
+def parabolic_decompose(h: HeckeElement, n: int, k: int) -> dict[SignedPermutation, HeckeElement]:
     """Regroup h as sum_x (component_x) * T_x over the minimal representatives
     x of the cosets (B_n x S_k) x, returned as {x: component_x}; each
     component is supported on B_n x S_k.
-
-    ``cosets``, a collection of windows of rank n + k, keeps only the
-    components of their cosets: any member of a coset selects it, the result
-    is keyed by the coset's minimal representative, and a coset without
-    support gets no key.  The default, None, keeps every coset.  The terms
-    are then filtered by their pattern in one C-level pass, and only the
-    kept ones are factored.
 
     The factorization is built once per coset pattern (``_coset_form``) and
     applied to each term by C-level maps over its window.  Every component
@@ -626,22 +685,11 @@ def parabolic_decompose(
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
     # a list copy: a list's bound __getitem__ is a faster call than a tuple's
     classify = list(_pattern_classes(n, k)).__getitem__
-    items = h._terms.items()
-    if cosets is not None:
-        wanted = set()
-        for x in cosets:
-            if not isinstance(x, SignedPermutation):
-                x = SignedPermutation(x)
-            if len(x) != n + k:
-                raise ValueError(f"coset window {x} has rank {len(x)}, not n + k = {n + k}")
-            wanted.add(tuple(map(classify, x)))
-        patterns = map(tuple, map(map, repeat(classify), h._terms))
-        items = compress(items, map(wanted.__contains__, patterns))
     forms: dict = {}  # pattern -> (pick, signs, {w': coefficient})
     buckets: dict[SignedPermutation, dict] = {}
     shared: dict = {}  # w' -> the one window of w' that every component holds
     new = tuple.__new__
-    for w, c in items:
+    for w, c in h._terms.items():
         pattern = tuple(map(classify, w))
         form = forms.get(pattern)
         if form is None:
@@ -685,13 +733,10 @@ def z_coefficient(n: int, k: int) -> HeckeElement:
     """The coefficient of T_{w_{n,k}} in the coset decomposition of T_{w_{n,k}}^2.
 
     Returned as an element of the ambient algebra supported on B_n x S_k.
-    Only the coset of w_{n,k} is extracted (``parabolic_decompose`` with
-    ``cosets=(w,)``): over every n + k <= 7 it holds 4,892 of the squares'
-    177,643 terms, and the other terms are dropped by their pattern before
-    any is factored.  The filter runs inside ``parabolic_decompose``, which
-    still takes the whole square, so a trace of the extraction counts the
-    same terms in as before.
+    Only the w_{n,k} coset of the square is formed (``mult`` with
+    ``cosets``): over every n + k <= 7 it holds 4,892 of the squares'
+    177,643 terms.
     """
     w = make_w_nk(n, k)
-    square = mult(t_of(w), t_of(w))
-    return parabolic_decompose(square, n, k, (w,)).get(w, HeckeElement._raw(n + k, {}))
+    square = mult(t_of(w), t_of(w), cosets=(n, k, (w,)))
+    return parabolic_decompose(square, n, k).get(w, HeckeElement._raw(n + k, {}))

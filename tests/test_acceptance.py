@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line (run pytest with -s to see them all).
 All equalities are exact polynomial identities; there are no numerical
-tolerances anywhere.  The n+k = 7 sweep is opt-in via --runslow.
+tolerances anywhere.  The n+k = 7, 8 and 9 sweeps are opt-in via --runslow.
 """
 
 import random
@@ -75,10 +75,23 @@ def test_criterion_04_slow_rank7():
 
 @pytest.mark.slow
 def test_criterion_04_slow_rank8_pairs():
-    # correctness only: no time bound is set for n+k = 8 yet
-    pairs = [(4, 4), (1, 7), (3, 5), (2, 6)]
+    # the bounds are about 12x the sweeps' measured 2.5 s and 26 s
+    pairs = [(8 - k, k) for k in range(2, 9)]
+    t0 = time.perf_counter()
     ok = all(V.verify_main(n, k).passed for n, k in pairs)
-    _criterion(4, ok, "main identity at (n,k) = (4,4), (1,7), (3,5) and (2,6), opt-in")
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 30.0
+    _criterion(4, ok, f"main identity at n+k=8 ({elapsed:.1f}s < 30s, opt-in)")
+
+
+@pytest.mark.slow
+def test_criterion_04_slow_rank9():
+    pairs = [(9 - k, k) for k in range(2, 10)]
+    t0 = time.perf_counter()
+    ok = all(V.verify_main(n, k).passed for n, k in pairs)
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 300.0
+    _criterion(4, ok, f"main identity at n+k=9 ({elapsed:.1f}s < 300s, opt-in)")
 
 
 def test_criterion_05_conjugation_expansion():

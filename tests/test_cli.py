@@ -279,9 +279,9 @@ class TestRightFactors:
         right = []
         folds = []
 
-        def recording_mult(h1, h2):
+        def recording_mult(h1, h2, **kwargs):
             right.append(h2)
-            return mult(h1, h2)
+            return mult(h1, h2, **kwargs)
 
         def recording_times_ts(h, letters):
             folds.append(h)
