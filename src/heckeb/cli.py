@@ -18,7 +18,8 @@ above words.MAX_EXPONENT, ``mult`` groups nested deeper than
 words.MAX_DEPTH, and ``verify --max-rank`` above VERIFY_MAX_RANK[suite],
 the smallest of these for ``--suite all``; a negative value of any of these
 options is refused too).  The rank cap bounds the support of a product (at
-most |B_6| terms), not its time.
+most |B_6| terms), not its time.  141 (128 + SIGPIPE): the reader closed
+stdout before the output ended, as ``| head`` does.
 All output goes to stdout; diagnostics go to stderr.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -45,8 +47,8 @@ from .verify import (
 )
 from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 3-4 s
-# and 74 MB (5-6 s and 93 MB with --json; k = 11 has four times as many
+# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 2-3.5 s
+# and 74 MB (2-3 s and 74 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
 # ``good`` about 2-2.5 s and 70 MB, 3-3.5 s with --json (k = 11 has four
@@ -56,7 +58,7 @@ SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 3-4 s and 65 MB (5-7 s and 143 MB with --json);
+# ``w0 w0`` at rank 6 takes about 2-2.5 s and 65 MB (3-4 s and 116 MB with --json);
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
@@ -94,59 +96,33 @@ def _print_element(h: HeckeElement) -> None:
 
 
 def _emit_json(payload) -> None:
-    """Write json.dumps(payload, indent=2) and a newline to stdout.
+    """Write json.dumps(payload, indent=2) and a newline to stdout, where a
+    HeckeElement in the payload stands for its to_json().
 
     Batches of chunks: the whole text of a large payload is never held at
-    once, and an unbuffered stdout does not get one write per chunk.  A list
-    met more than once (the coefficient a HeckeElement's terms share) is
-    encoded once per indent and written from that text afterwards.
+    once, and an unbuffered stdout does not get one write per chunk.  An
+    element writes its own text term by term (``HeckeElement._json_chunks``),
+    so its payload is never built.
     """
-    chunks = _json_chunks(payload, "\n", _shared_lists(payload), {})
+    chunks = _json_chunks(payload, "\n")
     while batch := "".join(itertools.islice(chunks, 1 << 10)):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
 
 
-def _shared_lists(payload) -> set:
-    """The ids of the lists of containers met more than once in payload, not
-    looking inside a list already met.  A list of scalars (a window) is never
-    shared, so it is not recorded."""
-    seen: set = set()
-    shared: set = set()
-    stack = [payload] if isinstance(payload, (dict, list)) else []
-    containers = itertools.repeat((dict, list))
-    while stack:
-        o = stack.pop()
-        for v in o.values() if isinstance(o, dict) else o:
-            if isinstance(v, dict):
-                stack.append(v)
-            elif isinstance(v, list) and any(map(isinstance, v, containers)):
-                if id(v) in seen:
-                    shared.add(id(v))
-                else:
-                    seen.add(id(v))
-                    stack.append(v)
-    return shared
-
-
-def _json_chunks(o, newline: str, shared: set, texts: dict):
+def _json_chunks(o, newline: str):
     """The text of o as json.dumps(..., indent=2) writes it where ``newline``
-    (a newline and the indent) starts o's lines.  ``texts`` holds the text of
-    each shared list per indent, made on first meeting it."""
+    (a newline and the indent) starts o's lines."""
+    if isinstance(o, HeckeElement):
+        yield from o._json_chunks(newline, _json_chunks)
+        return
     if not isinstance(o, (dict, list, tuple)) or not o:
         yield json.dumps(o)  # a scalar, {} or []
-        return
-    if id(o) in shared:
-        key = (id(o), newline)
-        text = texts.get(key)
-        if text is None:
-            texts[key] = text = "".join(_json_chunks(o, newline, (), texts))
-        yield text
         return
     inner = newline + "  "
     is_dict = isinstance(o, dict)
     values = o.values() if is_dict else o
-    if not any(map(isinstance, values, itertools.repeat((dict, list, tuple)))):
+    if not any(map(isinstance, values, itertools.repeat((dict, list, tuple, HeckeElement)))):
         # flat: C-level passes, with the indent in the item separator
         if not is_dict and set(map(type, o)) == {int}:
             yield "[" + inner + ("," + inner).join(map(repr, o)) + newline + "]"
@@ -161,7 +137,7 @@ def _json_chunks(o, newline: str, shared: set, texts: dict):
     sep = ("{" if is_dict else "[") + inner
     for key, v in zip(keys, values):
         yield sep + key
-        yield from _json_chunks(v, inner, shared, texts)
+        yield from _json_chunks(v, inner)
         sep = "," + inner
     yield newline + ("}" if is_dict else "]")
 
@@ -176,7 +152,7 @@ def _cmd_square_w0k(args) -> int:
     w = make_w_nk(0, args.k)
     square = mult(t_of(w), t_of(w))
     if args.json:
-        _emit_json(square.to_json())
+        _emit_json(square)
     else:
         _print_element(square)
     return 0
@@ -254,7 +230,7 @@ def _cmd_mult(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        _emit_json({"rank": args.rank, "expr": str(expr), "element": element.to_json()})
+        _emit_json({"rank": args.rank, "expr": str(expr), "element": element})
     else:
         _print_element(element)
     return 0
@@ -354,6 +330,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -73,12 +73,13 @@ window per element of B_n x S_k: equal keys of different components are
 one object.  The keys are not checked again; the tests hold them to the
 Bjorner-Brenti condition on every element of B_1..B_5.
 
-Pruned products.  A caller that reads only some cosets names them
-(``mult``'s ``cosets``).  Right multiplication by T_g sends a term with
-pattern P to P or to P * g (``_pattern_times``), so the fold keeps one
-bucket per pattern and drops, after each letter, every bucket that cannot
-reach a named coset by the end of the word: one set lookup per bucket, not
-per term.  Only the named cosets' terms are decoded.
+Pruned products.  Every fold is bucketed by coset pattern.  Right
+multiplication by T_g sends a term with pattern P to P or to P * g
+(``_pattern_times``), so the fold keeps one bucket per pattern and drops,
+after each letter, every bucket that cannot reach a named coset
+(``mult``'s ``cosets``) by the end of the word: one set lookup per
+bucket, not per term.  Only the named cosets' terms are decoded.  The
+whole product is the one bucket of the trivial split B_rank x S_0.
 """
 
 from __future__ import annotations
@@ -243,6 +244,24 @@ class HeckeElement:
         object share its one encoded list, so treat the result as read-only."""
         terms = self._formatted_terms(BivarPoly.to_json)
         return {"rank": self.rank, "terms": [{"w": list(w), "coeff": c} for w, c in terms]}
+
+    def _json_chunks(self, newline: str, encode):
+        """The text of json.dumps(self.to_json(), indent=2) where ``newline``
+        (a newline and the indent) starts the element's lines, one chunk per
+        term, with no payload built.  ``encode(o, newline)`` yields the text
+        of a JSON value o; it runs once per distinct coefficient object."""
+        i1, i2, i3, i4 = (newline + "  " * d for d in range(1, 5))
+        head = f'{{{i1}"rank": {self.rank},{i1}"terms": '
+        if not self._terms:
+            yield f"{head}[]{newline}}}"
+            return
+        terms = self._formatted_terms(lambda c: "".join(encode(c.to_json(), i3)))
+        sep, comma = head + "[" + i2, "," + i4
+        for w, text in terms:
+            window = f"[{i4}{comma.join(map(str, w))}{i3}]" if w else "[]"
+            yield f'{sep}{{{i3}"w": {window},{i3}"coeff": {text}{i2}}}'
+            sep = "," + i2
+        yield f"{i1}]{newline}}}"
 
     @classmethod
     def from_json(cls, data) -> "HeckeElement":
@@ -489,26 +508,25 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     ``cosets=(n, k, patterns)`` keeps only the terms whose coset pattern is
     one of ``patterns``: the running product is bucketed {pattern: {window:
     id}}, and after letter j every bucket outside A_{j+1} (``_reachable``)
-    is dropped whole.
+    is dropped whole.  The default is the trivial split B_rank x S_0, whose
+    one pattern is all zeros and is fixed by every letter: its one bucket
+    is the whole product, folded as both stay and move.
     """
     rank = h.rank
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
     if size is None:
         raise ValueError(f"rank {rank} does not fit in a window field")
     width, zero, flip, layout, code, canonical = _window_codec(rank, size)
-    reach = pattern = None
-    if cosets is not None:
-        n, k, patterns = cosets
-        classify = _pattern_classes(n, k).__getitem__
-        reach = _reachable(patterns, letters)
+    n, k, patterns = cosets if cosets is not None else (rank, 0, {(0,) * rank})
+    classify = _pattern_classes(n, k).__getitem__
+    reach = _reachable(patterns, letters)
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
-    buckets: dict = {}  # pattern, or None without cosets -> {window: id}
+    buckets: dict = {}  # pattern -> {window: id}
     for w, c in h._terms.items():
-        if reach is not None:
-            pattern = tuple(map(classify, w))
-            if pattern not in reach[0]:
-                continue
+        pattern = tuple(map(classify, w))
+        if pattern not in reach[0]:
+            continue
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
@@ -517,14 +535,11 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     for j, g in enumerate(letters):
         out: dict = {}
         for pattern in buckets:
-            if reach is None:
-                stay = move = out.setdefault(None, {})
-            else:
-                # a side that cannot reach a kept coset is folded into a
-                # dict dropped at once; by A_j's definition one side is kept
-                kept, moved = reach[j + 1], _pattern_times(pattern, g)
-                stay = out.setdefault(pattern, {}) if pattern in kept else {}
-                move = out.setdefault(moved, {}) if moved in kept else {}
+            # a side that cannot reach a kept coset is folded into a dict
+            # dropped at once; by A_j's definition one side is kept
+            kept, moved = reach[j + 1], _pattern_times(pattern, g)
+            stay = out.setdefault(pattern, {}) if pattern in kept else {}
+            move = out.setdefault(moved, {}) if moved in kept else {}
             _fold(buckets[pattern], g, width, zero, pool, stay, move)
         buckets = out
         if len(pool.dicts) > limit:

@@ -1,6 +1,10 @@
 """The command-line interface: outputs, JSON round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,7 @@ from heckeb.cli import (
     VERIFY_MAX_RANK,
     main,
 )
-from heckeb.hecke import HeckeElement, mult, t_of
+from heckeb.hecke import HeckeElement, mult, t_of, unit
 from heckeb.poly import ONE, BivarPoly
 from heckeb.signedperm import make_w_nk
 from heckeb.words import MAX_DEPTH, MAX_EXPONENT
@@ -94,6 +98,38 @@ class TestEmitJson:
     def test_writes_what_json_dumps_writes(self, capsys, payload):
         cli._emit_json(payload)
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    W0W0 = words.evaluate_word(words.parse_word("w0 w0"), 3)  # shares coefficients
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            HeckeElement(2),
+            unit(0),
+            W0W0,
+            {"rank": 3, "element": W0W0, "after": [1, 2]},
+            [HeckeElement(1), [unit(0), {"h": W0W0}]],
+        ],
+        ids=["zero", "rank0-unit", "w0w0-r3", "in-dict", "in-list"],
+    )
+    def test_element_writes_its_to_json(self, capsys, payload):
+        cli._emit_json(payload)
+        expected = json.dumps(payload, indent=2, default=HeckeElement.to_json)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_cli_builds_no_element_payload(self, capsys, monkeypatch):
+        w = make_w_nk(0, 4)
+        square = mult(t_of(w), t_of(w)).to_json()
+        product = {"rank": 3, "expr": "w0 w0", "element": self.W0W0.to_json()}
+
+        def refuse(self):
+            raise AssertionError("to_json called")
+
+        monkeypatch.setattr(HeckeElement, "to_json", refuse)
+        out = run(capsys, "square-w0k", "--k", "4", "--json")[1]
+        assert out == json.dumps(square, indent=2) + "\n"
+        out = run(capsys, "mult", "--rank", "3", "--expr", "w0 w0", "--json")[1]
+        assert out == json.dumps(product, indent=2) + "\n"
 
     def test_mult_json_with_shared_coefficients(self, capsys):
         # the terms of w0 w0 share far fewer coefficients than they have
@@ -263,6 +299,22 @@ class TestVerify:
 
 
 class TestUsage:
+    def test_closed_pipe_exits_141_quietly(self):
+        # the output is larger than a pipe buffer, so the writer is still
+        # writing when the pipe closes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "heckeb.cli", "square-w0k", "--k", "8", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
