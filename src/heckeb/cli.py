@@ -21,17 +21,26 @@ options is refused too).  The rank cap bounds the support of a product (at
 most |B_6| terms), not its time.  141 (128 + SIGPIPE): the reader closed
 stdout before the output ended, as ``| head`` does.
 All output goes to stdout; diagnostics go to stderr.
+
+A command runs with the cyclic garbage collector paused, and ``main`` turns
+it back on afterwards if it was on before.  Windows are a tuple subclass,
+which CPython never untracks, so each full collection would walk every
+window built so far (``verify --suite w0k --max-rank 10`` holds about 250k).
+The commands build no reference cycles: reference counting frees all they
+make, and ``tests/test_cli.py`` checks that nothing is left for the collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
 import sys
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 from .combinat import count_separated, enumerate_separated
 from .hecke import HeckeElement, mult, t_of
@@ -51,9 +60,9 @@ from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, pars
 # and 74 MB (2-3 s and 74 MB with --json; k = 11 has four times as many
 # terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
 # (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
-# ``good`` about 2-2.5 s and 70 MB, 3-3.5 s with --json (k = 11 has four
-# times as many rows); and ``sep`` about 6 s and 150 MB, 9 s with --json
-# (each step of 2 in k costs about 2.7x).
+# ``good`` about 1.3-1.6 s and 52 MB, 1.7-1.8 s and 50 MB with --json (k = 11
+# has four times as many rows); and ``sep`` about 6 s and 150 MB, 9 s with
+# --json (each step of 2 in k costs about 2.7x).
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
@@ -62,7 +71,7 @@ SEP_MAX_K = 28
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 3 s, 68 MB (11: 14 s, 250 MB); fk 4.4 s, 109 MB
+# one rank above it: w0k 1.3-1.4 s, 65 MB (11: 5.4 s, 239 MB); fk 4.4 s, 109 MB
 # (14: 20 s, 406 MB); base 3.4-3.9 s, 109 MB (14: 17 s, 407 MB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
 # (9: 22 s); main 22-24 s, 140 MB (8: 2.7 s, 36 MB; each step about 8x);
@@ -188,18 +197,22 @@ def _cmd_good(args) -> int:
     _check_cap("good --k", args.k, GOOD_MAX_K)
     rows = []
     coeff_text = {}
-    for w, (a, a_neg, c), coeff in good_involution_weights(args.k):
-        text = coeff_text.get((a, a_neg, c))
+    for w, signature, coeff in good_involution_weights(args.k):
+        text = coeff_text.get(signature)
         if text is None:
-            text = coeff_text[a, a_neg, c] = str(coeff)
-        rows.append({"w": str(w), "a": a, "a_neg": a_neg, "c": c, "coeff": text})
+            text = coeff_text[signature] = str(coeff)
+        rows.append((w, *signature, text))
+    rows.sort(key=itemgetter(0))  # window order; G_k comes grouped by involution
     if args.json:
+        for i, (w, a, a_neg, c, text) in enumerate(rows):  # in place: one row list at a time
+            rows[i] = {"w": str(w), "a": a, "a_neg": a_neg, "c": c, "coeff": text}
         _emit_json({"k": args.k, "count": len(rows), "involutions": rows})
         return 0
-    w_width = max(len(r["w"]) for r in rows)
+    texts = list(map(str, map(itemgetter(0), rows)))
+    w_width = max(map(len, texts))
     print(f"{'w':<{w_width}}  {'a':>2} {'a(-w)':>5} {'c':>3}  coefficient")
-    for r in rows:
-        print(f"{r['w']:<{w_width}}  {r['a']:>2} {r['a_neg']:>5} {r['c']:>3}  {r['coeff']}")
+    for w, (_, a, a_neg, c, text) in zip(texts, rows):
+        print(f"{w:<{w_width}}  {a:>2} {a_neg:>5} {c:>3}  {text}")
     print(f"total: {len(rows)}")
     return 0
 
@@ -325,6 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return args.func(args)
     except ValueError as exc:
@@ -335,6 +350,9 @@ def main(argv=None) -> int:
         # so that the interpreter's final flush raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

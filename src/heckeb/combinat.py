@@ -13,21 +13,22 @@ c(w) = neat(s) + sum over j in F of #{i < j : s(i) < j}, where a pair
 pair i < j: with neither end in F it is tidy in w exactly when it is neat in
 s; with only i in F the condition is unchanged, since -w(i) = -i < j
 anyway; with j in F it is tidy exactly when s(i) < j, and it was not neat,
-since s(j) = j > i.  The verifier's closed form for T_{w_{0,k}}^2 uses this
-to compute the per-s parts once per involution of S_k.
+since s(j) = j > i.  ``enumerate_good`` lists G_k grouped by s, each group
+in one fixed order of the subsets F, so the verifier's closed form for
+T_{w_{0,k}}^2 computes the per-s parts once per group.
 
-|Fix s| and neat(s) are read together in one pass over the window of s
-(``_fixed_and_neat``): each arc i < s(i) adds the positions x strictly
-between i and s(i) with s(x) > i, which are the positions still open when
-the backtracking fill of ``symmetric_involutions`` places that arc.  This is
-the crossings-and-nestings count of the matching of s (Chen, Deng, Du,
-Stanley and Yan, "Crossings and nestings of matchings and partitions",
-Trans. AMS 2007): neat(s) = 2 nestings + crossings + fixed points under an
-arc.  A fixed point under an arc is counted once and a nested arc twice (both
-of its ends); of two crossing arcs only the left one counts an end of the
-other.  So pairing the first open position with the m-th open position after
-it adds q^(m-1), and (1 - q)(1 + ... + q^(k-2)) = 1 - q^(k-1) is the factor
-of the recurrence for f_k.
+neat(s) sums, over the arcs i < s(i), the positions x strictly between i and
+s(i) with s(x) > i, which are the positions still open when the backtracking
+fill of ``symmetric_involutions`` places that arc.  This is the
+crossings-and-nestings count of the matching of s (Chen, Deng, Du, Stanley
+and Yan, "Crossings and nestings of matchings and partitions", Trans. AMS
+2007): neat(s) = 2 nestings + crossings + fixed points under an arc.  A fixed
+point under an arc is counted once and a nested arc twice (both of its
+ends); of two crossing arcs only the left one counts an end of the other.
+So pairing the first open position with the m-th open position after it
+adds q^(m-1), and (1 - q)(1 + ... + q^(k-2)) = 1 - q^(k-1) is the factor of
+the recurrence for f_k.  ``_neat_and_m`` reads neat(s), the fixed points of
+s and each m_j = #{i < j : s(i) < j} in one pass over the window of s.
 
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
 x missing one letter); ``conjugator`` and ``conjugator_omit`` give these
@@ -47,8 +48,8 @@ neat(s) (``stat_c`` and ``neat_count`` there).
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import product, repeat
 
 from .signedperm import SignedPermutation, generator
 
@@ -77,25 +78,36 @@ def stat_d(i: int, w: SignedPermutation) -> int:
     return sum(1 for j in range(i + 1, len(w) + 1) if w[j - 1] == j)
 
 
-def _fixed_and_neat(s) -> tuple[int, int]:
-    """(|Fix s|, neat(s)) for an involution s of S_k, read in one pass over
-    its window.  s is not checked: callers pass windows built as involutions.
+def _neat_and_m(s) -> tuple[int, list[int]]:
+    """(neat(s), [m_j for each fixed point j of s, increasing in j]) for an
+    involution s of S_k, with m_j = #{i < j : s(i) < j}, read in one pass
+    over its window (any iterable of the values).  s is not checked.
 
-    Each arc i < s(i) adds the positions x strictly between its ends with
-    s(x) > i (a fixed point under the arc, or an end of an arc that starts
-    after i), so an arc with s(i) = i + 1 adds nothing.
+    The pass keeps the left ends of the open arcs in opening order.  The
+    i < j with s(i) > j are the left ends of the arcs open over a fixed point
+    j, so m_j is j - 1 less their number.  neat(s) adds one per open arc at
+    each fixed point and at each arc's left end (every open arc crosses or
+    nests over the new one), and at an arc's right end one per open arc that
+    opened before its left end (each nests over it): a fixed point under an
+    arc counts once, a nested arc twice and a crossing once.
     """
-    fixed = neat = 0
-    i = 0
+    opened = []
+    m = []
+    neat = 0
+    j = 0
     for v in s:
-        i += 1
-        if v > i + 1:
-            for x in s[i : v - 1]:
-                if x > i:
-                    neat += 1
-        elif v == i:
-            fixed += 1
-    return fixed, neat
+        j += 1
+        if v > j:
+            neat += len(opened)
+            opened.append(j)
+        elif v < j:
+            nesting = opened.index(v)
+            neat += nesting
+            del opened[nesting]
+        else:
+            neat += len(opened)
+            m.append(j - 1 - len(opened))
+    return neat, m
 
 
 def symmetric_involutions(k: int) -> list[SignedPermutation]:
@@ -132,15 +144,19 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
 
 
 def enumerate_good(k: int) -> list[SignedPermutation]:
-    """All of G_k as windows, from the involutions s of S_k: -s with any
-    subset of the fixed points of s made positive again.  Sorted by window."""
+    """All of G_k as windows, grouped by the involution s = |w| of S_k.
+
+    The groups come in ``symmetric_involutions`` order.  The group of s holds
+    -s with each subset of the fixed points of s made positive again: its
+    2^|Fix s| windows in ``itertools.product`` order over the choices (-j, j)
+    at each fixed point j, so it starts at -s.  Not sorted by window:
+    ``sorted(enumerate_good(k))`` is.
+    """
     negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
     out = []
     for s in symmetric_involutions(k):
-        choices = [(v, negated[v]) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
-        for window in itertools.product(*choices):
-            out.append(tuple.__new__(SignedPermutation, window))
-    out.sort()
+        choices = [(negated[v], v) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
+        out.extend(map(tuple.__new__, repeat(SignedPermutation), product(*choices)))
     return out
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import compress
-from operator import eq
+from itertools import chain, product, repeat
+from math import comb
+from operator import neg
 
 from .combinat import (
-    _fixed_and_neat,
+    _neat_and_m,
     binomial_sum,
     conjugator,
     conjugator_omit,
@@ -142,25 +143,74 @@ def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> 
 
 # -- squares of w_{0,k} ------------------------------------------------------
 
-def _involution_table(s) -> tuple[int, int, tuple[int, ...]]:
-    """(neat(s), |Fix s|, m(s)) for an involution s of S_k, where m(s) holds
-    m_j = #{i < j : s(i) < j} at each fixed point j and 0 elsewhere."""
-    m = tuple(
-        sum(1 for v in s[: j - 1] if v < j) if v_j == j else 0
-        for j, v_j in enumerate(s, start=1)
-    )
-    fixed, neat = _fixed_and_neat(s)
-    return neat, fixed, m
+def _group_signatures(windows):
+    """For each group of ``enumerate_good``'s list ``windows``, one iterator of
+    the (a, a', c) of its windows, in list order.
+
+    The group of s starts at -s and holds a window per subset E of Fix s, in
+    product order over the choices (-j, j) at each fixed point j, j in E being
+    the second choice.  So a = |E| runs over the sums of product((0, 1), ...),
+    a' = |Fix s| - a, and c = neat(s) + sum over E of m_j over the sums of
+    product((neat(s),), (0, m_j), ...): each window costs C-level steps only.
+    """
+    # a per subset of a set of f fixed points, in product order, for each f
+    sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(windows[0]) + 1)]
+    i = 0
+    while i < len(windows):
+        neat, m = _neat_and_m(map(neg, windows[i]))
+        a = sizes[len(m)]
+        yield zip(a, map(len(m).__sub__, a), map(sum, product((neat,), *zip(repeat(0), m))))
+        i += len(a)
+
+
+class _Weights(dict):
+    """(a, a', c) -> the coefficient p^x (1-p)^a' q^c (1-q)^y of T_w in
+    T_{w_{0,k}}^2, x = (k+a-a')/2 and y = (k-a-a')/2, built on first use.
+
+    k - a - a' = k - |Fix s| is twice the number of arcs of s, so both
+    exponents are integers.  The weight's term dict is the product of the two
+    binomial expansions, with no polynomial multiplication; every w with the
+    same triple shares the same (immutable) BivarPoly.
+    """
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, signature):
+        a, a_neg, c = signature
+        y = (self.k - a - a_neg) // 2
+        weight = self[signature] = BivarPoly._raw(
+            {
+                (pe, qe): u * v
+                for pe, u in _binomial_row(y + a, a_neg)  # p^x (1-p)^a'
+                for qe, v in _binomial_row(c, y)  # q^c (1-q)^y
+            }
+        )
+        return weight
+
+
+def _binomial_row(start: int, e: int) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) pairs of x^start (1-x)^e."""
+    return [(start + i, (-1) ** i * comb(e, i)) for i in range(e + 1)]
+
+
+def _good_signatures(k: int):
+    """(G_k in ``enumerate_good`` order, an iterator of each window's
+    (a, a', c) in the same order)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    windows = enumerate_good(k)
+    return windows, chain.from_iterable(_group_signatures(windows))
 
 
 def good_involution_weights(k: int):
-    """Each w in G_k, in window order, as (w, (a, a', c), weight).
+    """Each w in G_k, in ``enumerate_good`` order, as (w, (a, a', c), weight).
 
     The weight p^((k+a-a')/2) (1-p)^a' q^c (1-q)^((k-a-a')/2), with a = a(w),
-    a' = a(-w) and c = c(w), is the coefficient of T_w in T_{w_{0,k}}^2; both
-    exponents must come out integral.  The weight depends only on (a, a', c),
-    so it is built once per triple and the same (immutable) BivarPoly is
-    shared by every w with that triple.
+    a' = a(-w) and c = c(w), is the coefficient of T_w in T_{w_{0,k}}^2.  It
+    depends only on (a, a', c), so it is built once per triple and the same
+    (immutable) BivarPoly is shared by every w with that triple.
 
     The statistics come from the involution s = |w| of S_k and the set
     E = {j : w(j) = j}, a subset of Fix(s): a(w) = |E|, a(-w) = |Fix s| - |E|
@@ -170,37 +220,13 @@ def good_involution_weights(k: int):
     condition -w(j) = s(j) < i is that of neatness, and -w(i) = -i < j holds
     anyway.  If j is in E, -w(j) = -j < i holds, so the pair is tidy exactly
     when -w(i) < j, i.e. s(i) < j (-w(i) is s(i) or -i); it was not neat,
-    since s(j) = j > i.  So neat(s), |Fix s| and m(s) are computed once per
-    involution s, and each w costs a few C-level passes over its window.
+    since s(j) = j > i.  ``enumerate_good`` groups G_k by s, so neat(s) and
+    m(s) are computed once per group and each w costs C-level steps only.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    one_minus_p = ONE - P
-    one_minus_q = ONE - Q
-    positions = range(1, k + 1)
-    tables = {}
-    weights = {}
-    for w in enumerate_good(k):
-        s = tuple(map(abs, w))
-        table = tables.get(s)
-        if table is None:
-            table = tables[s] = _involution_table(s)
-        neat, fixed, m = table
-        in_e = tuple(map(eq, w, positions))
-        a = sum(in_e)
-        signature = (a, fixed - a, neat + sum(compress(m, in_e)))
-        coeff = weights.get(signature)
-        if coeff is None:
-            _, a_neg, c = signature
-            if (k + a - a_neg) % 2 or (k - a - a_neg) % 2:
-                raise ArithmeticError(f"non-integer exponent for {w}")
-            coeff = weights[signature] = (
-                P ** ((k + a - a_neg) // 2)
-                * one_minus_p**a_neg
-                * Q**c
-                * one_minus_q ** ((k - a - a_neg) // 2)
-            )
-        yield w, signature, coeff
+    windows, signatures = _good_signatures(k)
+    weights = _Weights(k)
+    for w, signature in zip(windows, signatures):
+        yield w, signature, weights[signature]
 
 
 def closed_form_w0k_square(k: int) -> HeckeElement:
@@ -208,8 +234,9 @@ def closed_form_w0k_square(k: int) -> HeckeElement:
     sum over w in G_k of the weight from good_involution_weights times T_w.
 
     The windows are distinct rank-k SignedPermutations and every weight is a
-    nonzero BivarPoly, so the terms go in unchecked."""
-    return HeckeElement._raw(k, {w: coeff for w, _, coeff in good_involution_weights(k)})
+    nonzero BivarPoly, so the terms go in unchecked, in one C-level pass."""
+    windows, signatures = _good_signatures(k)
+    return HeckeElement._raw(k, dict(zip(windows, map(_Weights(k).__getitem__, signatures))))
 
 
 def verify_w0k(k: int) -> VerificationReport:
@@ -231,20 +258,21 @@ def f_k_direct(k: int) -> BivarPoly:
     and each distinct weight is built once.
 
     Both statistics come from one unchecked pass over each window
-    (``combinat._fixed_and_neat``): a counts the positions with w(i) = i, and
-    each arc i < w(i) adds to neat the positions x strictly between i and w(i)
-    with w(x) > i, the positions still open when the backtracking fill of
-    ``symmetric_involutions`` places that arc.  This is the neat count: under
-    an arc a fixed point adds 1 and a nested arc adds 2 (both its ends are
-    counted), while of two crossing arcs only the left one counts an end of
-    the other, so the pair adds 1.  Pairing the first open position with the
-    m-th open position after it thus adds q^(m-1), and
-    (1-q)(1 + q + ... + q^(k-2)) = 1 - q^(k-1) is the factor of
-    ``f_k_recurrence``.
+    (``combinat._neat_and_m``, whose list has one entry per fixed point).
+    neat also sums, over the arcs i < w(i), the positions x strictly between
+    i and w(i) with w(x) > i, the positions still open when the backtracking
+    fill of ``symmetric_involutions`` places that arc: under an arc a fixed
+    point adds 1 and a nested arc adds 2 (both its ends are counted), while
+    of two crossing arcs only the left one counts an end of the other, so the
+    pair adds 1.  Pairing the first open position with the m-th open position
+    after it thus adds q^(m-1), and (1-q)(1 + q + ... + q^(k-2)) = 1 - q^(k-1)
+    is the factor of ``f_k_recurrence``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    multiplicity = Counter(map(_fixed_and_neat, symmetric_involutions(k)))
+    multiplicity = Counter(
+        (len(m), neat) for neat, m in map(_neat_and_m, symmetric_involutions(k))
+    )
     pq = P * (ONE - Q)
     one_minus_p = ONE - P
     total = BivarPoly(0)

@@ -4,7 +4,7 @@ the library, which keeps one home for each decision."""
 
 import itertools
 
-from heckeb.combinat import _fixed_and_neat
+from heckeb.combinat import _neat_and_m
 from heckeb.poly import BivarPoly
 
 # -- signed permutations --------------------------------------------------------
@@ -48,7 +48,7 @@ def neat_count(w) -> int:
     """Number of neat pairs {i, j} of an involution in S_k: w(j) < i and w(i) < j.
 
     A pair is neat in w exactly when it is tidy in -w.  The window is
-    checked, then read by the library's one-pass ``_fixed_and_neat``.
+    checked, then read by the library's one-pass ``_neat_and_m``.
     """
     k = len(w)
     for i, v in enumerate(w, start=1):
@@ -56,7 +56,7 @@ def neat_count(w) -> int:
             raise ValueError(f"{w} is not in the symmetric group")
         if w[v - 1] != i:
             raise ValueError(f"{w} is not an involution")
-    return _fixed_and_neat(w)[1]
+    return _neat_and_m(w)[0]
 
 
 def neat_pairs_oracle(s) -> int:
@@ -69,6 +69,14 @@ def neat_pairs_oracle(s) -> int:
         for j in range(i + 1, k + 1)
         if s[j - 1] < i and s[i - 1] < j
     )
+
+
+def fixed_point_m_oracle(s) -> list[int]:
+    """m_j = #{i < j : s(i) < j} at each fixed point j of an involution s of
+    S_k, increasing in j, by a sum over the positions before j."""
+    return [
+        sum(1 for v in s[: j - 1] if v < j) for j, v_j in enumerate(s, start=1) if v_j == j
+    ]
 
 
 def pairwise_separated(k: int, members) -> bool:

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, JSON round trips, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from heckeb.cli import (
     VERIFY_MAX_RANK,
     main,
 )
+from heckeb.combinat import enumerate_good
 from heckeb.hecke import HeckeElement, mult, t_of, unit
 from heckeb.poly import ONE, BivarPoly
 from heckeb.signedperm import make_w_nk
@@ -153,6 +155,13 @@ class TestGoodAndSep:
         assert data["count"] == 14
         for row in data["involutions"]:
             assert row["coeff"] in table
+
+    def test_good_rows_in_window_order(self, capsys):
+        _, blob, _ = run(capsys, "good", "--k", "4", "--json")
+        rows = [row["w"] for row in json.loads(blob)["involutions"]]
+        assert rows == [str(w) for w in sorted(enumerate_good(4))]
+        _, table, _ = run(capsys, "good", "--k", "4")
+        assert [line.split()[0] for line in table.splitlines()[1:-1]] == rows
 
     def test_sep_counts(self, capsys):
         code, out, _ = run(capsys, "sep", "--k", "6")
@@ -296,6 +305,60 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-rank", "3")
         assert code == 0
         assert "checks passed" in out
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused; main restores it."""
+
+    @pytest.fixture
+    def collector_off(self):
+        was_on = gc.isenabled()
+        gc.disable()
+        yield
+        if was_on:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(("fk", "--k", "3"), 0), (("good", "--k", str(GOOD_MAX_K + 1)), 2)],
+    )
+    def test_restored_after_exit(self, capsys, argv, code):
+        assert gc.isenabled()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled()
+
+    def test_left_off_when_it_was_off(self, capsys, collector_off):
+        assert run(capsys, "fk", "--k", "3")[0] == 0
+        assert not gc.isenabled()
+
+    def test_restored_after_closed_pipe(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import gc, sys\n"
+            "from heckeb import cli\n"
+            "code = cli.main(['square-w0k', '--k', '8', '--json'])\n"
+            "sys.stderr.write(f'{code} {gc.isenabled()}')\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b"141 True"
+
+    def test_hot_paths_make_no_cycles(self, capsys, collector_off):
+        # what the collector finds after a command is the parser's cycles
+        # alone: the same after the largest w0k check as after the smallest
+        garbage = []
+        for rank in ("1", "7"):
+            gc.collect()
+            assert run(capsys, "verify", "--suite", "w0k", "--max-rank", rank, "--json")[0] == 0
+            garbage.append(gc.collect())
+        assert garbage[0] == garbage[1]
 
 
 class TestUsage:

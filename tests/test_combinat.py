@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from heckeb.combinat import (
-    _fixed_and_neat,
+    _neat_and_m,
     binomial_sum,
     conjugator,
     count_separated,
@@ -25,6 +25,7 @@ from heckeb.signedperm import (
 
 from combinat_helpers import pred, shift_separated, succ
 from oracles import (
+    fixed_point_m_oracle,
     is_good,
     is_involution,
     neat_count,
@@ -84,7 +85,28 @@ class TestEnumerateGood:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_exhaustive_filter(self, k):
-        assert enumerate_good(k) == good_involutions_filter(k)
+        assert sorted(enumerate_good(k)) == good_involutions_filter(k)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_grouped_by_involution_in_product_order(self, k):
+        # one run of 2^|Fix s| windows per involution s, in symmetric_involutions
+        # order; each run starts at -s and makes fixed points positive in
+        # itertools.product order over (-j, j)
+        windows = enumerate_good(k)
+        start = 0
+        for s in symmetric_involutions(k):
+            fixed = [j for j, v in enumerate(s, start=1) if v == j]
+            run = windows[start : start + 2 ** len(fixed)]
+            expected = []
+            for signs in itertools.product((-1, 1), repeat=len(fixed)):
+                w = [-v for v in s]
+                for j, sign in zip(fixed, signs):
+                    w[j - 1] = sign * j
+                expected.append(SignedPermutation(w))
+            assert run == expected, s
+            assert run[0] == s.negate()
+            start += len(run)
+        assert start == len(windows)
 
     def test_chain_sizes(self):
         assert [len(enumerate_good(k)) for k in range(1, 7)] == [2, 5, 14, 43, 142, 499]
@@ -208,9 +230,13 @@ class TestNeat:
     @pytest.mark.parametrize("k", range(11))
     def test_one_pass_matches_pair_scan_and_crossings(self, k):
         for s in symmetric_involutions(k):
-            fixed, neat = _fixed_and_neat(s)
-            assert (fixed, neat) == (stat_a(s), neat_pairs_oracle(s)), s
+            neat, m = _neat_and_m(s)
+            assert (len(m), neat) == (stat_a(s), neat_pairs_oracle(s)), s
             assert neat == crossings_nestings_oracle(s), s
+            # the open-arc count of each m_j against its per-position sum
+            assert m == fixed_point_m_oracle(s), s
+            # the verifier passes the values of -s negated back, as an iterator
+            assert _neat_and_m(map(abs, s.negate())) == (neat, m)
 
     def test_rejects_non_involutions(self):
         with pytest.raises(ValueError):
@@ -254,7 +280,7 @@ class TestSuccPred:
         for w in enumerate_good(k):
             union.extend(succ(w))
         assert len(union) == len(set(union))
-        assert sorted(union) == enumerate_good(k + 1)
+        assert sorted(union) == sorted(enumerate_good(k + 1))
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_pred_inverts_succ(self, k):

@@ -102,6 +102,18 @@ class TestGoodInvolutionWeights:
         assert list(V.good_involution_weights(k)) == weights_oracle(k)
 
 
+class TestBinomialWeights:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_every_occurring_weight_matches_four_powers(self, k):
+        _, signatures = V._good_signatures(k)
+        weights = V._Weights(k)
+        for a, a_neg, c in set(signatures):
+            x, y = (k + a - a_neg) // 2, (k - a - a_neg) // 2
+            assert 2 * x == k + a - a_neg and 2 * y == k - a - a_neg
+            four_powers = P**x * (ONE - P) ** a_neg * Q**c * (ONE - Q) ** y
+            assert weights[a, a_neg, c] == four_powers, (a, a_neg, c)
+
+
 class TestBenchmarkContract:
     """The enumeration counts perfbench pins (combinat.enumerated per check)."""
 
