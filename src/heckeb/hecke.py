@@ -77,9 +77,13 @@ Pruned products.  Every fold is bucketed by coset pattern.  Right
 multiplication by T_g sends a term with pattern P to P or to P * g
 (``_pattern_times``), so the fold keeps one bucket per pattern and drops,
 after each letter, every bucket that cannot reach a named coset
-(``mult``'s ``cosets``) by the end of the word: one set lookup per
-bucket, not per term.  Only the named cosets' terms are decoded.  The
-whole product is the one bucket of the trivial split B_rank x S_0.
+(``mult``'s ``cosets``) by the end of the word.  What can reach them is
+one dict per fold, the last-live index {pattern: the last letter index
+from which the pattern can still reach a named coset} (``_last_live``),
+built backwards along the word with each pattern entered once: one dict
+lookup per bucket, not per term.  Only the named cosets' terms are
+decoded.  The whole product is the one bucket of the trivial split
+B_rank x S_0, whose index has one entry.
 """
 
 from __future__ import annotations
@@ -507,10 +511,12 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
 
     ``cosets=(n, k, patterns)`` keeps only the terms whose coset pattern is
     one of ``patterns``: the running product is bucketed {pattern: {window:
-    id}}, and after letter j every bucket outside A_{j+1} (``_reachable``)
-    is dropped whole.  The default is the trivial split B_rank x S_0, whose
-    one pattern is all zeros and is fixed by every letter: its one bucket
-    is the whole product, folded as both stay and move.
+    id}}, and after letter j (counted from 0) every bucket whose pattern
+    the last-live index (``_last_live``) does not map above j is dropped
+    whole; a term of h whose pattern the index lacks is never encoded.  The
+    default is the trivial split B_rank x S_0, whose one pattern is all
+    zeros and is fixed by every letter: its index has that one entry, and
+    its one bucket is the whole product, folded as both stay and move.
     """
     rank = h.rank
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
@@ -519,27 +525,28 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     width, zero, flip, layout, code, canonical = _window_codec(rank, size)
     n, k, patterns = cosets if cosets is not None else (rank, 0, {(0,) * rank})
     classify = _pattern_classes(n, k).__getitem__
-    reach = _reachable(patterns, letters)
+    live = _last_live(patterns, letters)
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
     buckets: dict = {}  # pattern -> {window: id}
     for w, c in h._terms.items():
         pattern = tuple(map(classify, w))
-        if pattern not in reach[0]:
+        if pattern not in live:
             continue
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
         buckets.setdefault(pattern, {})[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
     limit = 2 * len(pool.dicts)
+    live_get = live.get
     for j, g in enumerate(letters):
         out: dict = {}
         for pattern in buckets:
             # a side that cannot reach a kept coset is folded into a dict
-            # dropped at once; by A_j's definition one side is kept
-            kept, moved = reach[j + 1], _pattern_times(pattern, g)
-            stay = out.setdefault(pattern, {}) if pattern in kept else {}
-            move = out.setdefault(moved, {}) if moved in kept else {}
+            # dropped at once; as live[pattern] >= j, one side is kept
+            moved = _pattern_times(pattern, g)
+            stay = out.setdefault(pattern, {}) if live_get(pattern, -1) > j else {}
+            move = out.setdefault(moved, {}) if live_get(moved, -1) > j else {}
             _fold(buckets[pattern], g, width, zero, pool, stay, move)
         buckets = out
         if len(pool.dicts) > limit:
@@ -579,8 +586,11 @@ def mult(h1: HeckeElement, h2: HeckeElement, cosets=None) -> HeckeElement:
 
     ``cosets=(n, k, windows)``, with windows of rank n + k = h1.rank,
     returns only the terms of h1 * h2 in the cosets (B_n x S_k) x of the
-    windows x (any member of a coset selects it), and the folds drop every
-    term that cannot reach one of them.  The default, None, is the whole product.
+    windows x (any member of a coset selects it).  Each fold reads its
+    word's last-live index, one dict {pattern: the last letter index from
+    which it can reach one of those cosets}, and drops a bucket of terms as
+    soon as its pattern has passed that index.  The default, None, is the
+    whole product.
     """
     h1._check_rank(h2)
     if cosets is not None:
@@ -628,15 +638,24 @@ def _pattern_times(pattern: tuple, g: int) -> tuple:
     return pattern[: g - 1] + (pattern[g], pattern[g - 1]) + pattern[g + 1 :]
 
 
-def _reachable(patterns: set, letters) -> list:
-    """[A_1, ..., A_{L+1}] for the letters g_1 ... g_L: A_{L+1} = patterns
-    and A_j = A_{j+1} | A_{j+1} * g_j, the patterns of the terms that can
-    still reach one of ``patterns`` when letters g_j ... g_L remain."""
-    reach = [patterns]
-    for g in reversed(letters):
-        reach.append(reach[-1] | {_pattern_times(q, g) for q in reach[-1]})
-    reach.reverse()
-    return reach
+def _last_live(patterns, letters) -> dict:
+    """The last-live index of the letters g_0 ... g_{L-1}: {pattern: the
+    largest i such that a term of that pattern, with g_i ... g_{L-1} still
+    to come, can reach one of ``patterns``}.  A pattern that cannot reach
+    them at all is absent, and a requested pattern maps to L.
+
+    Built backwards, one pattern entered once: at letter i, each pattern
+    already present (those that can reach ``patterns`` from i + 1 on) adds
+    its image under g_i with i, unless the image is already present with a
+    larger index.  So after letter j, a bucket of pattern P can still reach
+    ``patterns`` exactly when ``live.get(P, -1) > j``.
+    """
+    live = dict.fromkeys(patterns, len(letters))
+    for j in reversed(range(len(letters))):
+        g = letters[j]
+        for pattern in list(live):
+            live.setdefault(_pattern_times(pattern, g), j)
+    return live
 
 
 @lru_cache(maxsize=256)

@@ -19,7 +19,7 @@ kernel's pool is compacted to the coefficients the product still holds
 whenever it has doubled, so a long word's intermediate coefficients do not
 pile up.  Each letter costs more as the coefficient degrees grow, so
 exponents are capped at MAX_EXPONENT.  At the cap, ``( t s1 s2 )^32`` at
-rank 3 takes about 0.8 s and 23 MB in a fresh process on a 2-vCPU host.
+rank 3 takes about 0.4-0.5 s and 23 MB in a fresh process on a 2-vCPU host.
 Nested exponents multiply: a factor's exponent times the exponents of every group around it
 is also capped at MAX_EXPONENT, so ``( ( t s1 )^32 )^4`` is refused at its
 ``4``, and ``( ( t s1 s2 )^16 )^2`` has the letters of ``( t s1 s2 )^32``

@@ -1,6 +1,8 @@
-"""Predicates only the tests use, and the loop forms of the coset tests that
-``heckeb.hecke`` decides by one closed form.  They live here rather than in
-the library, which keeps one home for each decision."""
+"""Predicates only the tests use, the loop forms of the coset tests that
+``heckeb.hecke`` decides by one closed form, and the definitions its fast
+forms are held to (the reach sets behind the last-live index, products at
+the corners of the parameter square).  They live here rather than in the
+library, which keeps one home for each decision."""
 
 import itertools
 
@@ -129,3 +131,42 @@ def is_min_representative(x, n: int, k: int) -> bool:
     return all(a < b for a, b in zip(small, small[1:])) and all(
         a < b for a, b in zip(large, large[1:])
     )
+
+
+def reach_sets(patterns, letters) -> list:
+    """[A_0, ..., A_L] for the letters g_0 ... g_{L-1}: A_L = patterns and
+    A_i = A_{i+1} | A_{i+1} * g_i, the coset patterns of the terms that can
+    still reach one of ``patterns`` when letters g_i ... g_{L-1} remain.
+    Right multiplication by g sends a term of pattern P to P or to P * g,
+    where t flips the sign at position 1 and s_i swaps positions i, i + 1."""
+
+    def times(pattern, g):
+        out = list(pattern)
+        if g == 0:
+            out[0] = -out[0]
+        else:
+            out[g - 1], out[g] = out[g], out[g - 1]
+        return tuple(out)
+
+    reach = [set(patterns)]
+    for g in reversed(letters):
+        reach.append(reach[-1] | {times(pattern, g) for pattern in reach[-1]})
+    reach.reverse()
+    return reach
+
+
+# -- corners of the parameter square -----------------------------------------------
+
+CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def corner_product(w, letters, p: int, q: int):
+    """The one basis element that T_w * T_{g_1} * ... * T_{g_L} specialises
+    to at a corner (p, q) of {0, 1}^2, with coefficient 1.  There T_g^2 =
+    (1 - param) T_g + param is T_g (param 0) or 1 (param 1), so at a descent
+    a letter stays if its parameter is 0 and moves if it is 1; otherwise it
+    moves.  At (1, 1) this is the group law, at (0, 0) the 0-Hecke monoid."""
+    for g in letters:
+        if not (right_descent(w, g) and (p if g == 0 else q) == 0):
+            w = w.apply_right(g)
+    return w

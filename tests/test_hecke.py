@@ -1,6 +1,7 @@
 """T-basis multiplication, coset decomposition, and the trivial quotient."""
 
 import functools
+import itertools
 import random
 from operator import itemgetter
 
@@ -42,10 +43,13 @@ from heckeb.verify import closed_form_w0k_square
 from heckeb.words import evaluate_word, parse_word
 
 from oracles import (
+    CORNERS,
+    corner_product,
     descents,
     in_parabolic,
     in_wnk_coset,
     is_min_representative,
+    reach_sets,
     right_descent,
 )
 
@@ -254,19 +258,37 @@ class TestAssociativity:
 
 
 class TestGroupDegeneration:
+    """At a corner (p, q) of {0, 1}^2 a product of basis elements is one
+    basis element with coefficient 1 (``oracles.corner_product``): the
+    group product at (1, 1), the Demazure product at (0, 0)."""
+
     def test_exhaustive_b2(self):
         for u in all_elements(2):
             for v in all_elements(2):
-                degenerated = mult(t_of(u), t_of(v)).specialize(1, 1)
-                assert degenerated == {u * v: 1}
+                product = mult(t_of(u), t_of(v))
+                assert product.specialize(1, 1) == {u * v: 1}
+                for p, q in CORNERS:
+                    corner = corner_product(u, v.reduced_word(), p, q)
+                    assert product.specialize(p, q) == {corner: 1}, (u, v, p, q)
 
     def test_randomized_b5(self):
         rng = random.Random(99)
         pool = list(all_elements(5))
         for _ in range(20):
             u, v = rng.choice(pool), rng.choice(pool)
-            degenerated = mult(t_of(u), t_of(v)).specialize(1, 1)
-            assert degenerated == {u * v: 1}
+            product = mult(t_of(u), t_of(v))
+            assert product.specialize(1, 1) == {u * v: 1}
+            for p, q in CORNERS:
+                corner = corner_product(u, v.reduced_word(), p, q)
+                assert product.specialize(p, q) == {corner: 1}, (u, v, p, q)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_w0k_squares(self, k):
+        w = make_w_nk(0, k)
+        square = mult(t_of(w), t_of(w))
+        for p, q in CORNERS:
+            corner = corner_product(w, w.reduced_word(), p, q)
+            assert square.specialize(p, q) == {corner: 1}, (p, q)
 
 
 class TestDistinguishedFactor:
@@ -491,6 +513,89 @@ class TestCosetFilter:
             for bad_n, bad_k in ((n, rank - n + 1), (n + 1, rank - n), (-1, rank + 1)):
                 with pytest.raises(ValueError):
                     mult(h, h, cosets=(bad_n, bad_k, [identity(rank)]))
+
+
+def random_window(rank, rng):
+    return SignedPermutation([rng.choice((1, -1)) * v for v in rng.sample(range(1, rank + 1), rank)])
+
+
+def pattern_of(w, n, k):
+    return tuple(map(hecke._pattern_classes(n, k).__getitem__, w))
+
+
+class TestLastLive:
+    """The last-live index against its definition, the nested sets
+    A_0 ⊇ ... ⊇ A_L of ``oracles.reach_sets``: a pattern is in A_i exactly
+    when the index maps it to i or more, and a pruned fold visits at letter
+    j exactly the buckets that its start can reach inside A_j."""
+
+    @staticmethod
+    def check(n, k, h, letters, targets, monkeypatch):
+        rank = n + k
+        sets = reach_sets(targets, letters)
+        live = hecke._last_live(targets, letters)
+        everything = [p for p in itertools.product((-1, 0, 1), repeat=rank) if p.count(0) == n]
+        assert set(live) <= set(everything)
+        for i, reach in enumerate(sets):
+            assert {p for p in everything if live.get(p, -1) >= i} == reach, i
+
+        # the fold calls _pattern_times once per bucket and letter, after
+        # building its index
+        visits, built = [], []
+        last_live, pattern_times = hecke._last_live, hecke._pattern_times
+
+        def building(patterns, word):
+            live = last_live(patterns, word)
+            built.append(True)
+            return live
+
+        def visiting(pattern, g):
+            if built:
+                visits.append((pattern, g))
+            return pattern_times(pattern, g)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(hecke, "_last_live", building)
+            mp.setattr(hecke, "_pattern_times", visiting)
+            hecke._times_ts(h, letters, (n, k, set(targets)))
+        buckets = {pattern_of(w, n, k) for w in h.support()} & sets[0]
+        for j, g in enumerate(letters):
+            visited, visits = visits[: len(buckets)], visits[len(buckets) :]
+            assert all(letter == g for _, letter in visited), j
+            assert {p for p, _ in visited} == buckets, j
+            buckets = {q for p in buckets for q in (p, pattern_times(p, g))} & sets[j + 1]
+        assert not visits
+
+    @staticmethod
+    def cases(rank, elements):
+        """(n, k, h, letters, targets) for every split of the rank, along the
+        reduced word of w_{n,k} (h = T_{w_{n,k}}, the pruned square; the
+        identity at k = 0) and of ``elements`` seeded random elements
+        (h = 1), each towards the w_{n,k} coset alone and towards three
+        seeded random cosets."""
+        rng = random.Random(rank)
+        xs = [random_window(rank, rng) for _ in range(elements)]
+        for n in range(rank + 1):
+            k = rank - n
+            w = make_w_nk(n, k) if k else identity(rank)
+            several = [pattern_of(random_window(rank, rng), n, k) for _ in range(3)]
+            for targets in ([pattern_of(w, n, k)], several):
+                yield n, k, t_of(w), w.reduced_word(), targets
+                for x in xs:
+                    yield n, k, unit(rank), x.reduced_word(), targets
+
+    @pytest.mark.parametrize("rank", range(7))
+    def test_matches_the_reach_sets(self, rank, monkeypatch):
+        for n, k, h, letters, targets in self.cases(rank, 20):
+            self.check(n, k, h, letters, targets, monkeypatch)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("rank", range(7, 11))
+    def test_matches_the_reach_sets_along_wnk(self, rank, monkeypatch):
+        for n in range(rank):
+            k = rank - n
+            w = make_w_nk(n, k)
+            self.check(n, k, unit(rank), w.reduced_word(), [pattern_of(w, n, k)], monkeypatch)
 
 
 class TestTrivialQuotient:

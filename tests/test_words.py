@@ -18,6 +18,8 @@ from heckeb.words import (
     parse_word,
 )
 
+from oracles import CORNERS, corner_product
+
 MAX_LETTERS = 20  # keeps the letter-by-letter reference product small
 
 
@@ -234,6 +236,8 @@ class TestReducedRuns:
             expected = mult(expected, t_of(generator(g, rank)))
         assert element == expected
         assert element.specialize(1, 1) == {group_element(rank, letters): 1}
+        for p, q in CORNERS:
+            assert element.specialize(p, q) == {corner_product(identity(rank), letters, p, q): 1}
 
     def test_nested_power_equals_flat_power(self):
         nested = evaluate_word(parse_word("( ( t s1 s2 )^16 )^2"), 3)
