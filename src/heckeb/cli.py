@@ -71,7 +71,7 @@ SEP_MAX_K = 28
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
 # ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 1.3-1.4 s, 65 MB (11: 5.4 s, 239 MB); fk 2 s, 109 MB
+# one rank above it: w0k 1.4 s, 60 MB (11: 5.3 s, 222 MB); fk 2 s, 109 MB
 # (14: 20 s, 406 MB); base 3.4-3.9 s, 109 MB (14: 17 s, 407 MB); conj 7 s
 # (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
 # (9: 22 s); main 14-15 s, 133 MB (8: 1.6 s, 34 MB; each step about 8x);

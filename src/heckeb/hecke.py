@@ -200,6 +200,8 @@ class HeckeElement:
     def coefficient(self, w) -> BivarPoly:
         if not isinstance(w, SignedPermutation):
             w = SignedPermutation(w)
+        if len(w) != self.rank:
+            raise ValueError(f"window {w} has rank {len(w)}, element has rank {self.rank}")
         return self._terms.get(w, BivarPoly(0))
 
     def sorted_terms(self):

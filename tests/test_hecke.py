@@ -196,6 +196,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             mult(unit(2), t_of(generator(2, 2)))
 
+    def test_coefficient_rejects_a_window_of_another_rank(self):
+        for window in ((1, 2), identity(2), (1, 2, 3, 4), ()):
+            with pytest.raises(ValueError, match="rank"):
+                unit(3).coefficient(window)
+        assert unit(3).coefficient((1, 2, 3)) == ONE
+        assert unit(3).coefficient(generator(1, 3)) == BivarPoly(0)
+
 
 class TestWellDefined:
     def test_two_reduced_words_same_product(self):
@@ -596,6 +603,50 @@ class TestLastLive:
             k = rank - n
             w = make_w_nk(n, k)
             self.check(n, k, unit(rank), w.reduced_word(), [pattern_of(w, n, k)], monkeypatch)
+
+
+def reduced_word_by(w, choose):
+    """A reduced word of w, stripping at each step the right descent that
+    ``choose`` picks from ``descents(w)``."""
+    letters = []
+    while not w.is_identity():
+        letters.append(choose(descents(w)))
+        w = w.apply_right(letters[-1])
+    return tuple(reversed(letters))
+
+
+class TestPrunedSquareWordIndependence:
+    """The pruned square, T_{w_{n,k}} folded along a reduced word of w_{n,k}
+    towards the w_{n,k} coset alone, has the same terms along every reduced
+    word (the braid relations, by Matsumoto's theorem).  Each word builds its
+    own last-live index, so a wrong index shows as a difference."""
+
+    @staticmethod
+    def check(n, k):
+        w = make_w_nk(n, k)
+        rng = random.Random(100 * n + k)
+        words = [reduced_word_by(w, min), reduced_word_by(w, max)]
+        words += [reduced_word_by(w, rng.choice) for _ in range(3)]
+        assert words[0] == w.reduced_word()
+        assert {len(word) for word in words} == {w.length()}
+        cosets = (n, k, {pattern_of(w, n, k)})
+        first = hecke._times_ts(t_of(w), words[0], cosets)
+        assert first
+        for word in words[1:]:
+            assert hecke._times_ts(t_of(w), word, cosets)._terms == first._terms, word
+
+    @pytest.mark.parametrize(
+        "n,k", [(rank - k, k) for rank in range(1, 7) for k in range(1, rank + 1)]
+    )
+    def test_every_word_gives_the_same_terms(self, n, k):
+        self.check(n, k)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n,k", [(rank - k, k) for rank in (7, 8) for k in range(1, rank + 1)]
+    )
+    def test_every_word_gives_the_same_terms_large(self, n, k):
+        self.check(n, k)
 
 
 class TestTrivialQuotient:

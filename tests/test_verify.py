@@ -144,6 +144,20 @@ class TestBenchmarkContract:
         assert calls["enumerate_good"] == []
 
 
+def perturb_weight(monkeypatch, signature, change):
+    """Patch ``_Weights`` so that the weight of one (a, a', c) is
+    ``change(weight)``, for the streamed pass and the witness path alike."""
+
+    class Perturbed(V._Weights):
+        def __missing__(self, key):
+            weight = super().__missing__(key)
+            if key == signature:
+                weight = self[key] = change(weight)
+            return weight
+
+    monkeypatch.setattr(V, "_Weights", Perturbed)
+
+
 class TestW0k:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_pass(self, k):
@@ -151,17 +165,9 @@ class TestW0k:
         assert report.passed and report.witness is None
 
     def test_mutation_detected(self, monkeypatch):
-        # perturbing one exponent in the closed form must fail with a witness
-        original = V.closed_form_w0k_square
-
-        def broken(k):
-            closed = original(k)
-            w0 = identity(k).negate()
-            terms = dict(closed.sorted_terms())
-            terms[w0] = terms[w0] * P
-            return HeckeElement(k, terms)
-
-        monkeypatch.setattr(V, "closed_form_w0k_square", broken)
+        # perturbing one weight must fail with a witness; w_0 = -1 is the one
+        # window with a' = k
+        perturb_weight(monkeypatch, (0, 3, 0), lambda weight: weight * P)
         report = V.verify_w0k(3)
         assert not report.passed
         assert report.witness == [
@@ -171,6 +177,160 @@ class TestW0k:
                 "rhs": "p - 3*p^2 + 3*p^3 - p^4",
             }
         ]
+
+
+class TestW0kStreamed:
+    """verify_w0k checks the square against the weights in one pass; each
+    mutant must fail with the witness of the term-by-term comparison."""
+
+    K = 5
+
+    @staticmethod
+    def square(k):
+        """The square as verify_w0k computes it, through its ``mult``."""
+        w = make_w_nk(0, k)
+        return V.mult(t_of(w), t_of(w))
+
+    @staticmethod
+    def edit_windows(monkeypatch, edit):
+        """Patch ``_good_signatures`` to apply ``edit`` to its window and
+        signature lists, for the pass and the closed form alike."""
+        original = V._good_signatures
+
+        def edited(k):
+            windows, signatures = original(k)
+            windows, signatures = list(windows), list(signatures)
+            edit(windows, signatures)
+            return windows, iter(signatures)
+
+        monkeypatch.setattr(V, "_good_signatures", edited)
+
+    def failing_witness(self):
+        report = V.verify_w0k(self.K)
+        assert not report.passed
+        assert report.witness == V._hecke_mismatches(
+            self.square(self.K), V.closed_form_w0k_square(self.K)
+        )
+        return report.witness
+
+    def test_perturbed_shared_weight(self, monkeypatch):
+        signatures = list(V._good_signatures(self.K)[1])
+        shared = max(set(signatures), key=signatures.count)
+        assert signatures.count(shared) > 1
+        perturb_weight(monkeypatch, shared, lambda weight: weight + Q)
+        witness = self.failing_witness()
+        assert len(witness) == signatures.count(shared)
+        assert all(item["lhs"] != item["rhs"] for item in witness)
+
+    def test_weight_of_another_window(self, monkeypatch):
+        # window i shares its coefficient object with a later window, which
+        # keeps its own weight; each (object, weight) pair is compared
+        windows, signatures = V._good_signatures(self.K)
+        signatures = list(signatures)
+        i = next(i for i, s in enumerate(signatures) if signatures[i + 1 :].count(s))
+        j = next(j for j, s in enumerate(signatures) if s != signatures[i])
+
+        def move_weight(windows, signatures):
+            signatures[i] = signatures[j]
+
+        self.edit_windows(monkeypatch, move_weight)
+        assert self.failing_witness() == [
+            {
+                "where": f"T{windows[i]}",
+                "lhs": str(self.square(self.K).coefficient(windows[i])),
+                "rhs": str(V._Weights(self.K)[signatures[j]]),
+            }
+        ]
+
+    def test_dropped_window(self, monkeypatch):
+        windows = V._good_signatures(self.K)[0]
+        dropped = windows[7]
+
+        def drop(windows, signatures):
+            del windows[7], signatures[7]
+
+        self.edit_windows(monkeypatch, drop)
+        assert self.failing_witness() == [
+            {"where": f"T{dropped}", "lhs": str(self.square(self.K).coefficient(dropped)), "rhs": "0"}
+        ]
+
+    def test_repeated_window_in_place_of_another(self, monkeypatch):
+        windows = V._good_signatures(self.K)[0]
+        replaced = windows[9]
+
+        def repeat_one(windows, signatures):
+            windows[9], signatures[9] = windows[3], signatures[3]
+
+        self.edit_windows(monkeypatch, repeat_one)
+        assert self.failing_witness() == [
+            {"where": f"T{replaced}", "lhs": str(self.square(self.K).coefficient(replaced)), "rhs": "0"}
+        ]
+
+    def test_window_listed_twice(self, monkeypatch):
+        # the closed form's dict keeps one copy, so only the pass sees it
+        def append_one(windows, signatures):
+            windows.append(windows[3])
+            signatures.append(signatures[3])
+
+        self.edit_windows(monkeypatch, append_one)
+        report = V.verify_w0k(self.K)
+        assert not report.passed
+        size = len(enumerate_good(self.K))
+        assert report.witness == [
+            {"where": "G_k", "lhs": f"{size + 1} windows", "rhs": f"{size} distinct"}
+        ]
+
+    def test_extra_term_in_the_square(self, monkeypatch):
+        extra = generator(1, self.K)  # an involution, but not good
+        assert extra not in set(enumerate_good(self.K))
+        original = V.mult
+
+        def with_extra(a, b):
+            return original(a, b) + HeckeElement(self.K, {extra: Q})
+
+        monkeypatch.setattr(V, "mult", with_extra)
+        assert self.failing_witness() == [{"where": f"T{extra}", "lhs": "q", "rhs": "0"}]
+
+    def test_equal_but_distinct_coefficient_objects_pass(self, monkeypatch):
+        original = V.mult
+
+        def unshared(a, b):
+            h = original(a, b)
+            return HeckeElement._raw(
+                h.rank, {w: BivarPoly._raw(dict(c._terms)) for w, c in h._terms.items()}
+            )
+
+        monkeypatch.setattr(V, "mult", unshared)
+        assert V.verify_w0k(self.K).passed
+
+    def test_compares_each_distinct_pair_once_with_no_closed_form(self, monkeypatch):
+        k = 6
+        square, closed = self.square(k), V.closed_form_w0k_square(k)
+        pairs = {(id(square.coefficient(w)), id(c)) for w, c in closed._terms.items()}
+        assert len(pairs) < len(closed.support())
+        calls, in_mult = [], []
+        original_eq, original_mult = BivarPoly.__eq__, V.mult
+
+        def counted(a, b):
+            if not in_mult:  # mult compares its right factor's coefficient with 1
+                calls.append(1)
+            return original_eq(a, b)
+
+        def flagged(a, b):
+            in_mult.append(True)
+            try:
+                return original_mult(a, b)
+            finally:
+                in_mult.pop()
+
+        def forbidden(k):
+            raise AssertionError("the passing path built the closed form")
+
+        monkeypatch.setattr(BivarPoly, "__eq__", counted)
+        monkeypatch.setattr(V, "closed_form_w0k_square", forbidden)
+        monkeypatch.setattr(V, "mult", flagged)
+        assert V.verify_w0k(k).passed
+        assert 0 < len(calls) <= len(pairs)
 
 
 class TestMismatches:
