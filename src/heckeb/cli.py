@@ -322,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mult)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument(
         "--max-rank",
         type=int,

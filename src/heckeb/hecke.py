@@ -62,7 +62,8 @@ start and the windows are decoded once, at the end:
   each reads as an unsigned int and maps to one of the 2*rank + 1 int
   objects -rank..rank, so every decoded window shares them, where a fresh
   int per entry below -5 would cost 28 bytes.  The layout, the flip mask
-  and that table are built once per rank (``_window_codec``).
+  and that table are built once per rank and field size and cached
+  (``_window_codec``).
 
 Cosets.  The parabolic subgroup B_n x S_k is handled by one closed form per
 coset pattern (``_coset_form``): ``distinguished_factor`` splits a window,
@@ -597,7 +598,7 @@ def mult(h1: HeckeElement, h2: HeckeElement, cosets=None) -> HeckeElement:
     h1._check_rank(h2)
     if cosets is not None:
         n, k, windows = cosets
-        if n < 0 or k < 0 or n + k != h1.rank:
+        if n + k != h1.rank:
             raise ValueError(f"B_{n} x S_{k} is not a parabolic subgroup of B_{h1.rank}")
         classify = _pattern_classes(n, k).__getitem__
         patterns = set()
@@ -622,7 +623,10 @@ def mult(h1: HeckeElement, h2: HeckeElement, cosets=None) -> HeckeElement:
 @lru_cache(maxsize=64)
 def _pattern_classes(n: int, k: int) -> tuple:
     """Indexed by a window value v of B_{n+k} (negative v from the end):
-    0 if |v| <= n, else the sign of v.  Cached, so it is a tuple."""
+    0 if |v| <= n, else the sign of v.  Cached, so it is a tuple.  Every
+    coset function refuses a negative n or k here."""
+    if n < 0 or k < 0:
+        raise ValueError(f"B_{n} x S_{k} is not a parabolic subgroup: n, k must be >= 0")
     classes = [0] * (2 * (n + k) + 1)
     for v in range(n + 1, n + k + 1):
         classes[v] = 1

@@ -4,9 +4,9 @@ Polynomials are sparse maps (p-exponent, q-exponent) -> integer with no
 stored zeros.  Coefficients are Python ints, so every operation is exact at
 arbitrary precision.  A polynomial's term dict is never changed in place, so
 dicts may be shared: the Hecke multiplication kernel pools these same dicts
-and runs the same raw helpers on them.  Specializing q at a primitive k-th
-root of unity is done symbolically, by reducing modulo the k-th cyclotomic
-polynomial; floating-point roots never appear.
+and runs the raw add and subtract helpers on them.  Specializing q at a
+primitive k-th root of unity is done symbolically, by reducing modulo the
+k-th cyclotomic polynomial; floating-point roots never appear.
 
 Printing and JSON use graded-lex term order: ascending total degree, then
 ascending p-exponent.
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-# -- raw term-dict helpers (shared with the Hecke multiplication kernel) -----
+# -- raw term-dict helpers (the Hecke kernel shares _iadd_raw and _isub_raw) --
 
 def _iadd_raw(dst: dict, src: dict) -> None:
     """dst += src in place, pruning zero entries; src holds no zeros."""

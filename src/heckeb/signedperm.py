@@ -57,19 +57,14 @@ class SignedPermutation(tuple):
     def rank(self) -> int:
         return len(self)
 
-    def act(self, i: int) -> int:
-        """Image of the signed index i, using w(-i) = -w(i)."""
-        if i > 0:
-            return self[i - 1]
-        return -self[-i - 1]
-
     def __mul__(self, other):
         if not isinstance(other, SignedPermutation):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"rank mismatch: {len(self)} vs {len(other)}")
+        # the image of a signed index v, with w(-v) = -w(v)
         return tuple.__new__(
-            SignedPermutation, (self.act(v) for v in other)
+            SignedPermutation, (self[v - 1] if v > 0 else -self[-v - 1] for v in other)
         )
 
     def inverse(self) -> "SignedPermutation":

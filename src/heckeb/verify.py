@@ -6,15 +6,16 @@ closed form on the other -- and compares them as exact polynomials.  The
 outcome is a VerificationReport; a failing report always carries a witness
 listing the first mismatching basis elements or coefficients.
 
-Checks are grouped into named suites matching the CLI: w0k, fk, base, conj,
-tc, baby, main, binom.
+Checks are grouped into the named suites of ``SUITES``, the choices of the
+CLI's ``verify --suite``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import chain, product, repeat, tee
+from functools import partial
+from itertools import chain, islice, product, repeat, tee
 from math import comb
 from operator import neg
 
@@ -126,19 +127,20 @@ def _report(statement, params, t0, mismatches) -> VerificationReport:
     return VerificationReport(statement, params, "pass", None, ms)
 
 
+def _mismatches(comparisons) -> list:
+    """The witness entries of the first WITNESS_LIMIT (where, lhs, rhs)
+    comparisons whose two sides differ; the rest are never compared."""
+    return [
+        {"where": where, "lhs": str(a), "rhs": str(b)}
+        for where, a, b in islice((c for c in comparisons if c[1] != c[2]), WITNESS_LIMIT)
+    ]
+
+
 def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> list:
     if lhs == rhs:
         return []
-    out = []
-    keys = set(lhs.support()) | set(rhs.support())
-    for w in sorted(keys, key=_sort_key):
-        a, b = lhs.coefficient(w), rhs.coefficient(w)
-        if a != b:
-            where = f"{label}T{w}" if label else f"T{w}"
-            out.append({"where": where, "lhs": str(a), "rhs": str(b)})
-            if len(out) >= WITNESS_LIMIT:
-                break
-    return out
+    keys = sorted(set(lhs.support()) | set(rhs.support()), key=_sort_key)
+    return _mismatches((f"{label}T{w}", lhs.coefficient(w), rhs.coefficient(w)) for w in keys)
 
 
 # -- squares of w_{0,k} ------------------------------------------------------
@@ -344,14 +346,11 @@ def verify_fk(k: int) -> VerificationReport:
     """The three independent computations of f_k agree as polynomials."""
     t0 = time.perf_counter()
     direct = f_k_direct(k)
-    rec = f_k_recurrence(k)
-    sep = f_k_separated(k)
-    mism = []
-    if direct != rec:
-        mism.append({"where": "direct vs recurrence", "lhs": str(direct), "rhs": str(rec)})
-    if direct != sep:
-        mism.append({"where": "direct vs separated", "lhs": str(direct), "rhs": str(sep)})
-    return _report("fk", {"k": k}, t0, mism)
+    comparisons = [
+        ("direct vs recurrence", direct, f_k_recurrence(k)),
+        ("direct vs separated", direct, f_k_separated(k)),
+    ]
+    return _report("fk", {"k": k}, t0, _mismatches(comparisons))
 
 
 def verify_base_case(k: int) -> VerificationReport:
@@ -368,10 +367,7 @@ def verify_base_case(k: int) -> VerificationReport:
     mod = cyclotomic(k)
     target = reduce_mod_cyclotomic(ONE + (-P) ** k, mod)
     reduced_fk = reduce_mod_cyclotomic(f_k_direct(k), mod)
-    mism = []
-    if reduced_fk != target:
-        mism.append({"where": "f_k mod phi_k", "lhs": str(reduced_fk), "rhs": str(target)})
-    return _report("base", {"k": k}, t0, mism)
+    return _report("base", {"k": k}, t0, _mismatches([("f_k mod phi_k", reduced_fk, target)]))
 
 
 # -- conjugation identities ------------------------------------------------------
@@ -504,15 +500,12 @@ def verify_matrix(k: int) -> VerificationReport:
     mat = ((BivarPoly(0), qq), (ONE, ONE + (-P) ** k))
     left = ((mat[0][0] - ONE, mat[0][1]), (mat[1][0], mat[1][1] - ONE))
     right = ((mat[0][0] + qq, mat[0][1]), (mat[1][0], mat[1][1] + qq))
-    mism = []
-    for i in range(2):
-        for j in range(2):
-            entry = sum(
-                (left[i][l] * right[l][j] for l in range(2)), BivarPoly(0)
-            )
-            if entry:
-                mism.append({"where": f"entry ({i},{j})", "lhs": str(entry), "rhs": "0"})
-    return _report("matrix", {"k": k}, t0, mism)
+    entries = [
+        (f"entry ({i},{j})", sum((left[i][l] * right[l][j] for l in range(2)), BivarPoly(0)), 0)
+        for i in range(2)
+        for j in range(2)
+    ]
+    return _report("matrix", {"k": k}, t0, _mismatches(entries))
 
 
 # -- counting identities ------------------------------------------------------------------
@@ -520,80 +513,57 @@ def verify_matrix(k: int) -> VerificationReport:
 def verify_separated_count(k: int) -> VerificationReport:
     """Enumerated separated k-sets match C(k-i, i) + C(k-i-1, i-1) per cardinality."""
     t0 = time.perf_counter()
-    sets = enumerate_separated(k)
-    by_size: dict[int, int] = {}
-    for s in sets:
-        by_size[len(s)] = by_size.get(len(s), 0) + 1
-    mism = []
-    for i in sorted(set(by_size) | set(range(0, k // 2 + 1))):
-        enum, formula = by_size.get(i, 0), count_separated(k, i)
-        if enum != formula:
-            mism.append({"where": f"cardinality {i}", "lhs": str(enum), "rhs": str(formula)})
-    return _report("sep-count", {"k": k}, t0, mism)
+    by_size = Counter(map(len, enumerate_separated(k)))
+    comparisons = (
+        (f"cardinality {i}", by_size[i], count_separated(k, i))
+        for i in sorted(set(by_size) | set(range(0, k // 2 + 1)))
+    )
+    return _report("sep-count", {"k": k}, t0, _mismatches(comparisons))
 
 
 def verify_binom(k: int) -> VerificationReport:
     """The alternating trinomial sum equals 1 for every 0 <= i <= k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     t0 = time.perf_counter()
-    mism = []
-    for i in range(k + 1):
-        val = binomial_sum(k, i)
-        if val != 1:
-            mism.append({"where": f"i = {i}", "lhs": str(val), "rhs": "1"})
-    return _report("binom", {"k": k}, t0, mism)
+    comparisons = ((f"i = {i}", binomial_sum(k, i), 1) for i in range(k + 1))
+    return _report("binom", {"k": k}, t0, _mismatches(comparisons))
 
 
 # -- suites ------------------------------------------------------------------------------
 
-SUITES = ("w0k", "fk", "base", "conj", "tc", "baby", "main", "binom")
+# Each builder maps an ambient rank cap to its suite's checks, in run order.
+# A builder looks its check functions up on this module when it runs, so a
+# function replaced here after import is the one its checks call.
+SUITES = {
+    "w0k": lambda r: [partial(verify_w0k, k) for k in range(1, r + 1)],
+    "fk": lambda r: [partial(verify_fk, k) for k in range(1, max(8, r) + 1)],
+    "base": lambda r: [partial(verify_base_case, k) for k in range(2, max(8, r) + 1)],
+    "conj": lambda r: [partial(verify_conj_lemma, k) for k in range(1, r)],
+    "tc": lambda r: [partial(verify_tc_identity, n, k) for k in range(2, r) for n in range(r - k)],
+    "baby": lambda r: [partial(verify_baby_succ, n, k) for k in range(2, r) for n in range(r - k)],
+    "main": lambda r: [
+        *(partial(verify_main, n, k) for k in range(2, r + 1) for n in range(r - k + 1)),
+        *(partial(verify_matrix, k) for k in range(2, max(8, r) + 1)),
+    ],
+    "binom": lambda r: [
+        *(partial(verify_separated_count, k) for k in range(1, max(12, r) + 1)),
+        *(partial(verify_binom, k) for k in range(31)),
+    ],
+}
 
 
 def build_checks(suite: str, max_rank: int = 6) -> list:
-    """The (statement, callable) list for one named suite at a given ambient rank cap."""
-    checks = []
-    if suite == "w0k":
-        for k in range(1, max_rank + 1):
-            checks.append(lambda k=k: verify_w0k(k))
-    elif suite == "fk":
-        for k in range(1, max(8, max_rank) + 1):
-            checks.append(lambda k=k: verify_fk(k))
-    elif suite == "base":
-        for k in range(2, max(8, max_rank) + 1):
-            checks.append(lambda k=k: verify_base_case(k))
-    elif suite == "conj":
-        for k in range(1, max_rank):
-            checks.append(lambda k=k: verify_conj_lemma(k))
-    elif suite == "tc":
-        for k in range(2, max_rank):
-            for n in range(0, max_rank - k):
-                checks.append(lambda n=n, k=k: verify_tc_identity(n, k))
-    elif suite == "baby":
-        for k in range(2, max_rank):
-            for n in range(0, max_rank - k):
-                checks.append(lambda n=n, k=k: verify_baby_succ(n, k))
-    elif suite == "main":
-        for k in range(2, max_rank + 1):
-            for n in range(0, max_rank - k + 1):
-                checks.append(lambda n=n, k=k: verify_main(n, k))
-        for k in range(2, max(8, max_rank) + 1):
-            checks.append(lambda k=k: verify_matrix(k))
-    elif suite == "binom":
-        for k in range(1, max(12, max_rank) + 1):
-            checks.append(lambda k=k: verify_separated_count(k))
-        for k in range(0, 31):
-            checks.append(lambda k=k: verify_binom(k))
-    else:
+    """The checks of one named suite at an ambient rank cap, as callables
+    that take no arguments and return a VerificationReport."""
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return checks
+    return SUITES[suite](max_rank)
 
 
 def run_suite(suites, max_rank: int = 6) -> list[VerificationReport]:
     """Run the named suites and return reports sorted by statement, then parameters."""
-    if isinstance(suites, str):
-        suites = [suites]
-    checks = []
-    for name in suites:
-        checks.extend(build_checks(name, max_rank))
+    checks = [check for name in suites for check in build_checks(name, max_rank)]
     reports = [check() for check in checks]
     reports.sort(key=VerificationReport.sort_key)
     return reports

@@ -670,6 +670,23 @@ class TestTrivialQuotient:
             trivial_quotient(t_of(make_w_nk(1, 2)), 1, 2)
 
 
+class TestNegativeSplit:
+    @pytest.mark.parametrize("n,k", [(-1, 3), (3, -1)])
+    def test_every_coset_function_raises(self, n, k):
+        # n + k is the rank, but a negative n or k names no subgroup B_n x S_k
+        w = SignedPermutation([2, -1])
+        h = t_of(w)
+        calls = [
+            lambda: mult(h, h, cosets=(n, k, [w])),
+            lambda: distinguished_factor(w, n, k),
+            lambda: parabolic_decompose(h, n, k),
+            lambda: trivial_quotient(h, n, k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="parabolic subgroup"):
+                call()
+
+
 class TestCosetOracles:
     """The closed form against the loop tests it replaced, on every element
     of B_1..B_5 and every split n + k of the rank."""

@@ -8,6 +8,7 @@ from heckeb.combinat import enumerate_good, stat_a, symmetric_involutions
 from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
+from heckeb import cli
 from heckeb import verify as V
 
 from oracles import neat_pairs_oracle, p_coefficients, stat_c
@@ -491,6 +492,52 @@ class TestCounts:
     def test_binom(self, k):
         assert V.verify_binom(k).passed
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_binom_rejects_negative_k(self, k):
+        # range(k + 1) is empty there, so the check would pass having checked nothing
+        with pytest.raises(ValueError):
+            V.verify_binom(k)
+
+
+class TestScalarWitnesses:
+    """Each scalar check's witness, with one side of its statement replaced."""
+
+    def test_fk(self, monkeypatch):
+        monkeypatch.setattr(V, "f_k_recurrence", lambda k: ONE)
+        monkeypatch.setattr(V, "f_k_separated", lambda k: P)
+        assert V.verify_fk(2).witness == [
+            {"where": "direct vs recurrence", "lhs": "1 - p - p*q + p^2", "rhs": "1"},
+            {"where": "direct vs separated", "lhs": "1 - p - p*q + p^2", "rhs": "p"},
+        ]
+
+    def test_base(self, monkeypatch):
+        monkeypatch.setattr(V, "f_k_direct", lambda k: P)
+        assert V.verify_base_case(3).witness == [
+            {"where": "f_k mod phi_k", "lhs": "p", "rhs": "1 - p^3"}
+        ]
+
+    def test_matrix(self, monkeypatch):
+        monkeypatch.setattr(V, "hecke_parameter", lambda k: P**k)
+        assert V.verify_matrix(2).witness == [
+            {"where": "entry (0,1)", "lhs": "2*p^4", "rhs": "0"},
+            {"where": "entry (1,0)", "lhs": "2*p^2", "rhs": "0"},
+            {"where": "entry (1,1)", "lhs": "2*p^2 + 2*p^4", "rhs": "0"},
+        ]
+
+    def test_sep_count(self, monkeypatch):
+        monkeypatch.setattr(V, "count_separated", lambda k, i: 0)
+        assert V.verify_separated_count(5).witness == [
+            {"where": "cardinality 0", "lhs": "1", "rhs": "0"},
+            {"where": "cardinality 1", "lhs": "5", "rhs": "0"},
+            {"where": "cardinality 2", "lhs": "5", "rhs": "0"},
+        ]
+
+    def test_binom_capped_at_the_witness_limit(self, monkeypatch):
+        monkeypatch.setattr(V, "binomial_sum", lambda k, i: i)
+        assert V.verify_binom(12).witness == [
+            {"where": f"i = {i}", "lhs": str(i), "rhs": "1"} for i in (0, *range(2, 11))
+        ]
+
 
 class TestReports:
     def test_json_schema(self):
@@ -524,3 +571,46 @@ class TestReports:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             V.build_checks("nonsense")
+
+
+def expected_ids(suite, r):
+    """(statement, params) of every check of a suite at rank cap r, written out
+    from the suite definitions, in the order run_suite sorts its reports."""
+    pairs = [(n, k) for k in range(2, r) for n in range(r - k)]
+    ids = {
+        "w0k": [("w0k", {"k": k}) for k in range(1, r + 1)],
+        "fk": [("fk", {"k": k}) for k in range(1, max(8, r) + 1)],
+        "base": [("base", {"k": k}) for k in range(2, max(8, r) + 1)],
+        "conj": [("conj", {"k": k}) for k in range(1, r)],
+        "tc": [("tc", {"k": k, "n": n}) for n, k in pairs],
+        "baby": [("baby", {"k": k, "n": n}) for n, k in pairs],
+        "main": [("main", {"k": k, "n": n}) for k in range(2, r + 1) for n in range(r - k + 1)]
+        + [("matrix", {"k": k}) for k in range(2, max(8, r) + 1)],
+        "binom": [("sep-count", {"k": k}) for k in range(1, max(12, r) + 1)]
+        + [("binom", {"k": k}) for k in range(31)],
+    }[suite]
+    return sorted(ids, key=lambda i: (i[0], tuple(sorted(i[1].items()))))
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize("suite", sorted(cli.VERIFY_MAX_RANK))
+    @pytest.mark.parametrize("r", [0, 1, 2, 6])
+    def test_run_suite_reports_every_check_once(self, suite, r):
+        reports = V.run_suite([suite], r)
+        assert [(x.statement, x.params) for x in reports] == expected_ids(suite, r)
+        assert all(x.passed for x in reports)
+
+    @pytest.mark.parametrize("suite,cap", sorted(cli.VERIFY_MAX_RANK.items()))
+    def test_check_count_at_the_cli_cap(self, suite, cap):
+        assert len(V.build_checks(suite, cap)) == len(expected_ids(suite, cap))
+
+    def test_checks_call_the_function_on_the_module_when_run(self, monkeypatch):
+        calls = []
+
+        def recorder(n, k):
+            calls.append((n, k))
+            return V.VerificationReport("main", {"k": k, "n": n}, "pass")
+
+        monkeypatch.setattr(V, "verify_main", recorder)
+        V.run_suite(["main"], 3)
+        assert calls == [(0, 2), (1, 2), (0, 3)]
