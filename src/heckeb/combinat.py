@@ -13,7 +13,7 @@ c(w) = neat(s) + sum over j in F of #{i < j : s(i) < j}, where a pair
 pair i < j: with neither end in F it is tidy in w exactly when it is neat in
 s; with only i in F the condition is unchanged, since -w(i) = -i < j
 anyway; with j in F it is tidy exactly when s(i) < j, and it was not neat,
-since s(j) = j > i.  ``enumerate_good`` lists G_k grouped by s, each group
+since s(j) = j > i.  ``enumerate_good`` yields G_k grouped by s, each group
 in one fixed order of the subsets F, so the verifier's closed form for
 T_{w_{0,k}}^2 computes the per-s parts once per group.
 
@@ -38,22 +38,27 @@ Separated k-sets are the subsets of {0, ..., k-1} whose pairwise differences
 lie strictly between 1 and k-1; they index a closed form for the polynomials
 f_k computed in the verifier.
 
-Both enumerators return plain values, good by construction: a good
-involution is its SignedPermutation window and a separated set is the
-increasing tuple of its members.  The definitions they meet are tested
-predicates (``is_good`` and ``pairwise_separated`` in ``tests/oracles.py``),
-not checks repeated on every value; so are the pair scans of c(w) and
-neat(s) (``stat_c`` and ``neat_count`` there).
+Both enumerators give plain values, good by construction: a good involution
+is its SignedPermutation window and a separated set is the increasing tuple
+of its members.  ``enumerate_separated`` returns a list; ``enumerate_good``
+returns a ``GoodInvolutions`` view, which lists the involutions of S_k and
+builds each one's group of windows only when iteration reaches it.  The
+definitions they meet are tested predicates (``is_good`` and
+``pairwise_separated`` in ``tests/oracles.py``), not checks repeated on
+every value; so are the pair scans of c(w) and neat(s) (``stat_c`` and
+``neat_count`` there).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product, repeat
+from itertools import chain, count, product, repeat
+from operator import eq
 
 from .signedperm import SignedPermutation, generator
 
 __all__ = [
+    "GoodInvolutions",
     "enumerate_good",
     "stat_a",
     "stat_d",
@@ -143,21 +148,44 @@ def symmetric_involutions(k: int) -> list[SignedPermutation]:
             return out
 
 
-def enumerate_good(k: int) -> list[SignedPermutation]:
+class GoodInvolutions:
+    """G_k as a sized view that can be iterated more than once.
+
+    The involutions of S_k are listed when the view is made; the windows of
+    each involution's group are built only when iteration reaches it, so a
+    consumer that drops each window as it goes never holds all of G_k.
+    ``len`` is the sum over the involutions of 2^|Fix s|, counted when asked.
+    """
+
+    __slots__ = ("involutions", "_negated")
+
+    def __init__(self, k: int):
+        self.involutions = symmetric_involutions(k)
+        self._negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
+
+    def __len__(self) -> int:
+        return sum(1 << sum(map(eq, s, count(1))) for s in self.involutions)
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._group, self.involutions))
+
+    def _group(self, s):
+        negated = self._negated
+        choices = [(negated[v], v) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
+        return map(tuple.__new__, repeat(SignedPermutation), product(*choices))
+
+
+def enumerate_good(k: int) -> GoodInvolutions:
     """All of G_k as windows, grouped by the involution s = |w| of S_k.
 
-    The groups come in ``symmetric_involutions`` order.  The group of s holds
-    -s with each subset of the fixed points of s made positive again: its
-    2^|Fix s| windows in ``itertools.product`` order over the choices (-j, j)
-    at each fixed point j, so it starts at -s.  Not sorted by window:
-    ``sorted(enumerate_good(k))`` is.
+    The groups come in ``symmetric_involutions`` order, which the view's
+    ``involutions`` list holds.  The group of s holds -s with each subset of
+    the fixed points of s made positive again: its 2^|Fix s| windows in
+    ``itertools.product`` order over the choices (-j, j) at each fixed point
+    j, so it starts at -s.  Each group is built when iteration reaches it.
+    Not sorted by window: ``sorted(enumerate_good(k))`` is.
     """
-    negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
-    out = []
-    for s in symmetric_involutions(k):
-        choices = [(negated[v], v) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
-        out.extend(map(tuple.__new__, repeat(SignedPermutation), product(*choices)))
-    return out
+    return GoodInvolutions(k)
 
 
 # -- successor/predecessor recursion -------------------------------------------

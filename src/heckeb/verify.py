@@ -17,7 +17,6 @@ from collections import Counter
 from functools import partial
 from itertools import chain, islice, product, repeat, tee
 from math import comb
-from operator import neg
 
 from .combinat import (
     _neat_and_m,
@@ -145,9 +144,10 @@ def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> 
 
 # -- squares of w_{0,k} ------------------------------------------------------
 
-def _group_signatures(windows):
-    """For each group of ``enumerate_good``'s list ``windows``, one iterator of
-    the (a, a', c) of its windows, in list order.
+def _group_signatures(involutions):
+    """For each involution s of ``involutions`` (a ``GoodInvolutions`` view's
+    list), one iterator of the (a, a', c) of the windows of its group, in
+    the order ``enumerate_good`` yields them.
 
     The group of s starts at -s and holds a window per subset E of Fix s, in
     product order over the choices (-j, j) at each fixed point j, j in E being
@@ -156,13 +156,11 @@ def _group_signatures(windows):
     product((neat(s),), (0, m_j), ...): each window costs C-level steps only.
     """
     # a per subset of a set of f fixed points, in product order, for each f
-    sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(windows[0]) + 1)]
-    i = 0
-    while i < len(windows):
-        neat, m = _neat_and_m(map(neg, windows[i]))
+    sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(involutions[0]) + 1)]
+    for s in involutions:
+        neat, m = _neat_and_m(s)
         a = sizes[len(m)]
         yield zip(a, map(len(m).__sub__, a), map(sum, product((neat,), *zip(repeat(0), m))))
-        i += len(a)
 
 
 class _Weights(dict):
@@ -203,7 +201,7 @@ def _good_signatures(k: int):
     if k < 1:
         raise ValueError("k must be >= 1")
     windows = enumerate_good(k)
-    return windows, chain.from_iterable(_group_signatures(windows))
+    return windows, chain.from_iterable(_group_signatures(windows.involutions))
 
 
 def good_involution_weights(k: int):
@@ -247,14 +245,17 @@ def verify_w0k(k: int) -> VerificationReport:
     Checked in one streamed pass, with no second element built.  Each
     window of G_k is popped from the square's own term dict, this check's
     temporary, so a window the square lacks, or one listed twice, pops
-    None; the square must be empty afterwards.  The popped coefficients
-    are paired with the windows' (a, a', c) in C-level passes, in a dict
-    keyed by (id of the coefficient, (a, a', c)) that holds each keyed
-    coefficient, so no id is reused while the pass runs.  Each distinct
-    pair is then compared once with the weight of its triple: the square
-    shares one coefficient object per distinct value and the weights one
-    per triple, so at k = 10 there are 791 comparisons for 123,109
-    windows.  On a mismatch the square is recomputed and compared with
+    None; the square must be empty afterwards.  ``enumerate_good`` builds
+    each involution's group of windows only when the pass reaches it, so
+    every window is popped as soon as it is built: the square's windows
+    are freed while G_k is produced, and the two are never held together.
+    The popped coefficients are paired with the windows' (a, a', c) in
+    C-level passes, in a dict keyed by (id of the coefficient, (a, a', c))
+    that holds each keyed coefficient, so no id is reused while the pass
+    runs.  Each distinct pair is then compared once with the weight of its
+    triple: the square shares one coefficient object per distinct value and
+    the weights one per triple, so at k = 10 there are 791 comparisons for
+    123,109 windows.  On a mismatch the square is recomputed and compared with
     ``closed_form_w0k_square(k)`` term by term, for the witness.
     """
     t0 = time.perf_counter()

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from heckeb import combinat
 from heckeb.combinat import (
     _neat_and_m,
     binomial_sum,
@@ -92,7 +93,7 @@ class TestEnumerateGood:
         # one run of 2^|Fix s| windows per involution s, in symmetric_involutions
         # order; each run starts at -s and makes fixed points positive in
         # itertools.product order over (-j, j)
-        windows = enumerate_good(k)
+        windows = list(enumerate_good(k))
         start = 0
         for s in symmetric_involutions(k):
             fixed = [j for j, v in enumerate(s, start=1) if v == j]
@@ -110,6 +111,39 @@ class TestEnumerateGood:
 
     def test_chain_sizes(self):
         assert [len(enumerate_good(k)) for k in range(1, 7)] == [2, 5, 14, 43, 142, 499]
+
+    @pytest.mark.parametrize(
+        "k,size", zip(range(1, 9), [2, 5, 14, 43, 142, 499, 1850, 7193])
+    )
+    def test_len_counts_the_windows_yielded(self, k, size):
+        good = enumerate_good(k)
+        assert len(good) == len(list(good)) == size
+
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_iterates_again_alike(self, k):
+        good = enumerate_good(k)
+        assert list(good) == list(good)
+
+    def test_builds_each_group_when_iteration_reaches_it(self, monkeypatch):
+        # one itertools.product per group; the first group, that of the
+        # identity, holds all 2^6 sign choices
+        calls = []
+        original = combinat.product
+
+        def counted(*pools):
+            calls.append(pools)
+            return original(*pools)
+
+        monkeypatch.setattr(combinat, "product", counted)
+        windows = iter(enumerate_good(6))
+        assert calls == []
+        assert next(windows) == identity(6).negate()
+        assert len(calls) == 1
+        for _ in range(2**6 - 1):
+            next(windows)
+        assert len(calls) == 1
+        next(windows)
+        assert len(calls) == 2
 
     def test_members_embed_upward(self):
         for w in enumerate_good(3):

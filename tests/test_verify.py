@@ -8,7 +8,7 @@ from heckeb.combinat import enumerate_good, stat_a, symmetric_involutions
 from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
-from heckeb import cli
+from heckeb import cli, combinat
 from heckeb import verify as V
 
 from oracles import neat_pairs_oracle, p_coefficients, stat_c
@@ -226,8 +226,7 @@ class TestW0kStreamed:
     def test_weight_of_another_window(self, monkeypatch):
         # window i shares its coefficient object with a later window, which
         # keeps its own weight; each (object, weight) pair is compared
-        windows, signatures = V._good_signatures(self.K)
-        signatures = list(signatures)
+        windows, signatures = map(list, V._good_signatures(self.K))
         i = next(i for i, s in enumerate(signatures) if signatures[i + 1 :].count(s))
         j = next(j for j, s in enumerate(signatures) if s != signatures[i])
 
@@ -244,7 +243,7 @@ class TestW0kStreamed:
         ]
 
     def test_dropped_window(self, monkeypatch):
-        windows = V._good_signatures(self.K)[0]
+        windows = list(V._good_signatures(self.K)[0])
         dropped = windows[7]
 
         def drop(windows, signatures):
@@ -256,7 +255,7 @@ class TestW0kStreamed:
         ]
 
     def test_repeated_window_in_place_of_another(self, monkeypatch):
-        windows = V._good_signatures(self.K)[0]
+        windows = list(V._good_signatures(self.K)[0])
         replaced = windows[9]
 
         def repeat_one(windows, signatures):
@@ -332,6 +331,33 @@ class TestW0kStreamed:
         monkeypatch.setattr(V, "mult", flagged)
         assert V.verify_w0k(k).passed
         assert 0 < len(calls) <= len(pairs)
+
+    def test_pops_each_window_as_it_is_built(self, monkeypatch):
+        # windows built by enumerate_good but not yet popped from the
+        # square, read at every pop: never more than one group, 2^k
+        k = 6
+        built, lags = [0], []
+        original_product, original_mult = combinat.product, V.mult
+
+        def counted(*pools):
+            for item in original_product(*pools):
+                built[0] += 1
+                yield item
+
+        class Square(dict):
+            def pop(self, key, default):
+                lags.append(built[0] - len(lags))
+                return super().pop(key, default)
+
+        def square(a, b):
+            h = original_mult(a, b)
+            return HeckeElement._raw(h.rank, Square(h._terms))
+
+        monkeypatch.setattr(combinat, "product", counted)
+        monkeypatch.setattr(V, "mult", square)
+        assert V.verify_w0k(k).passed
+        assert len(lags) == built[0] == 499
+        assert max(lags) <= 2**k
 
 
 class TestMismatches:
