@@ -56,26 +56,20 @@ from .verify import (
 )
 from .words import MAX_DEPTH, MAX_EXPONENT, WordSyntaxError, evaluate_word, parse_word
 
-# Input caps.  On a 2-vCPU host, at the cap: ``square-w0k`` takes about 2-3.5 s
-# and 74 MB (2-3 s and 74 MB with --json; k = 11 has four times as many
-# terms); ``fk`` about 3.3 s (direct, each step in k about 4x), 10 s
-# (recurrence, about k^4.7) and 10 s (separated, each step about 2x);
-# ``good`` about 1.3-1.6 s and 52 MB, 1.7-1.8 s and 50 MB with --json (k = 11
-# has four times as many rows); and ``sep`` about 6 s and 150 MB, 9 s with
-# --json (each step of 2 in k costs about 2.7x).
+# Input caps.  The README's cap table records the time and memory at each
+# cap; here, the growth past it: ``square-w0k`` k = 11 has four times as many
+# terms; ``fk`` costs about 4x per step in k (direct), about k^4.7
+# (recurrence) and 2x per step (separated); ``good`` k = 11 has four times as
+# many rows; ``sep`` costs about 2.7x per step of 2 in k.
 SQUARE_MAX_K = 10
 GOOD_MAX_K = 10
 SEP_MAX_K = 28
 # ``mult --rank`` bounds the support, not the time: B_6 has 46,080 elements and
-# ``w0 w0`` at rank 6 takes about 2-2.5 s and 65 MB (3-4 s and 116 MB with --json);
 # B_7 has 645,120.
 MULT_MAX_RANK = 6
-# ``verify --max-rank`` per suite, with the whole suite's time at the cap and
-# one rank above it: w0k 1.4 s, 60 MB (11: 5.3 s, 222 MB); fk 2 s, 109 MB
-# (14: 20 s, 406 MB); base 3.4-3.9 s, 109 MB (14: 17 s, 407 MB); conj 7 s
-# (each step about 4x); tc 2 s (about 12x per doubling); baby 2 s, 17 MB
-# (9: 22 s); main 14-15 s, 133 MB (8: 1.6 s, 34 MB; each step about 8x);
-# binom 4 s, 150 MB (the separated 28-sets, as for ``sep``).
+# ``verify --max-rank`` per suite, and the time one rank above it: w0k about
+# 4.5x, fk about 10x, base about 4.5x, conj about 4x, tc about 12x per
+# doubling of the rank, baby about 11x, main about 8x; binom grows as ``sep``.
 VERIFY_MAX_RANK = {
     "w0k": 10,
     "fk": 13,

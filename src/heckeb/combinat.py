@@ -14,8 +14,10 @@ pair i < j: with neither end in F it is tidy in w exactly when it is neat in
 s; with only i in F the condition is unchanged, since -w(i) = -i < j
 anyway; with j in F it is tidy exactly when s(i) < j, and it was not neat,
 since s(j) = j > i.  ``enumerate_good`` yields G_k grouped by s, each group
-in one fixed order of the subsets F, so the verifier's closed form for
-T_{w_{0,k}}^2 computes the per-s parts once per group.
+in one fixed order of the subsets F, and ``GoodInvolutions.signatures``
+yields the statistics in the same order, computing the per-s parts once per
+group; the verifier builds the weights of its closed form for T_{w_{0,k}}^2
+from them.
 
 neat(s) sums, over the arcs i < s(i), the positions x strictly between i and
 s(i) with s(x) > i, which are the positions still open when the backtracking
@@ -52,7 +54,7 @@ every value; so are the pair scans of c(w) and neat(s) (``stat_c`` and
 from __future__ import annotations
 
 import math
-from itertools import chain, count, product, repeat
+from itertools import chain, count, product, repeat, starmap
 from operator import eq
 
 from .signedperm import SignedPermutation, generator
@@ -173,6 +175,25 @@ class GoodInvolutions:
         negated = self._negated
         choices = [(negated[v], v) if v == i else (negated[v],) for i, v in enumerate(s, start=1)]
         return map(tuple.__new__, repeat(SignedPermutation), product(*choices))
+
+    def signatures(self):
+        """Each window's (a(w), a(-w), c(w)), in iteration order.
+
+        The group of s holds a window per subset F of Fix s, in ``_group``'s
+        product order over the choices (-j, j) at each fixed point j, j in F
+        being the second choice.  So a(w) = |F| runs over the sums of
+        product((0, 1), ...), a(-w) = |Fix s| - a(w), and c(w) = neat(s) + sum
+        over F of m_j runs over the sums of product((neat(s),), (0, m_j), ...):
+        each window costs C-level steps only.
+        """
+        # a(w) per subset of f fixed points, in product order, for each f <= k
+        sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(self._negated))]
+
+        def group(neat, m):
+            a = sizes[len(m)]
+            return zip(a, map(len(m).__sub__, a), map(sum, product((neat,), *zip(repeat(0), m))))
+
+        return chain.from_iterable(starmap(group, map(_neat_and_m, self.involutions)))
 
 
 def enumerate_good(k: int) -> GoodInvolutions:

@@ -276,6 +276,8 @@ class HeckeElement:
             SignedPermutation(t["w"]): BivarPoly.from_json(t["coeff"])
             for t in data["terms"]
         }
+        if len(terms) != len(data["terms"]):
+            raise ValueError("a window is listed twice")
         return cls(int(data["rank"]), terms)
 
 
@@ -621,17 +623,18 @@ def mult(h1: HeckeElement, h2: HeckeElement, cosets=None) -> HeckeElement:
 # -- parabolic coset machinery ----------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _pattern_classes(n: int, k: int) -> tuple:
+def _pattern_classes(n: int, k: int) -> list:
     """Indexed by a window value v of B_{n+k} (negative v from the end):
-    0 if |v| <= n, else the sign of v.  Cached, so it is a tuple.  Every
-    coset function refuses a negative n or k here."""
+    0 if |v| <= n, else the sign of v.  A list, whose bound __getitem__ is a
+    faster call than a tuple's; cached, so it is never changed.  Every coset
+    function refuses a negative n or k here."""
     if n < 0 or k < 0:
         raise ValueError(f"B_{n} x S_{k} is not a parabolic subgroup: n, k must be >= 0")
     classes = [0] * (2 * (n + k) + 1)
     for v in range(n + 1, n + k + 1):
         classes[v] = 1
         classes[-v] = -1
-    return tuple(classes)
+    return classes
 
 
 def _pattern_times(pattern: tuple, g: int) -> tuple:
@@ -723,8 +726,7 @@ def parabolic_decompose(h: HeckeElement, n: int, k: int) -> dict[SignedPermutati
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
-    # a list copy: a list's bound __getitem__ is a faster call than a tuple's
-    classify = list(_pattern_classes(n, k)).__getitem__
+    classify = _pattern_classes(n, k).__getitem__
     forms: dict = {}  # pattern -> (pick, signs, {w': coefficient})
     buckets: dict[SignedPermutation, dict] = {}
     shared: dict = {}  # w' -> the one window of w' that every component holds
@@ -752,8 +754,7 @@ def trivial_quotient(h: HeckeElement, n: int, k: int) -> HeckeElement:
     """
     if h.rank != n + k:
         raise ValueError(f"rank mismatch: {h.rank} vs n + k = {n + k}")
-    # a list copy: a list's bound __getitem__ is a faster call than a tuple's
-    classify = list(_pattern_classes(n, k)).__getitem__
+    classify = _pattern_classes(n, k).__getitem__
     parabolic = (0,) * n + (1,) * k
     out: dict[SignedPermutation, BivarPoly] = {}
     for w, c in h._terms.items():

@@ -86,7 +86,7 @@ class BivarPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=0):
-        if isinstance(terms, int):
+        if type(terms) is int:  # a bool, like a float, is refused below
             self._terms = {(0, 0): terms} if terms else {}
             return
         if isinstance(terms, BivarPoly):
@@ -95,9 +95,9 @@ class BivarPoly:
         clean = {}
         for key, c in dict(terms).items():
             pe, qe = key
-            if pe < 0 or qe < 0:
-                raise ValueError(f"negative exponent in {key}")
-            if not isinstance(c, int):
+            if type(pe) is not int or type(qe) is not int or pe < 0 or qe < 0:
+                raise ValueError(f"exponents {key} are not nonnegative ints")
+            if type(c) is not int:  # a bool would be stored as itself
                 raise TypeError(f"coefficient {c!r} is not an int")
             if c:
                 clean[(pe, qe)] = c
@@ -216,13 +216,16 @@ class BivarPoly:
 
     @classmethod
     def from_json(cls, data) -> "BivarPoly":
-        return cls({(int(t["p"]), int(t["q"])): int(t["c"]) for t in data})
+        terms = {(int(t["p"]), int(t["q"])): int(t["c"]) for t in data}
+        if len(terms) != len(data):
+            raise ValueError("a monomial is listed twice")
+        return cls(terms)
 
 
 def _coerce(value):
     if isinstance(value, BivarPoly):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return BivarPoly(value)
     return None
 

@@ -46,7 +46,7 @@ class SignedPermutation(tuple):
         m = len(self)
         seen = set()
         for v in self:
-            if not isinstance(v, int) or v == 0 or abs(v) > m:
+            if type(v) is not int or v == 0 or abs(v) > m:  # bool is not an entry
                 raise ValueError(f"invalid window entry {v!r} for rank {m}")
             seen.add(abs(v))
         if len(seen) != m:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import partial
-from itertools import chain, islice, product, repeat, tee
+from itertools import islice, repeat, tee
 from math import comb
 
 from .combinat import (
@@ -122,7 +122,7 @@ class VerificationReport:
 def _report(statement, params, t0, mismatches) -> VerificationReport:
     ms = (time.perf_counter() - t0) * 1000.0
     if mismatches:
-        return VerificationReport(statement, params, "fail", mismatches[:WITNESS_LIMIT], ms)
+        return VerificationReport(statement, params, "fail", mismatches, ms)
     return VerificationReport(statement, params, "pass", None, ms)
 
 
@@ -135,33 +135,16 @@ def _mismatches(comparisons) -> list:
     ]
 
 
-def _hecke_mismatches(lhs: HeckeElement, rhs: HeckeElement, label: str = "") -> list:
+def _hecke_comparisons(lhs: HeckeElement, rhs: HeckeElement, label: str = ""):
+    """(where, lhs, rhs) at each window of either support, in length-window
+    order; none if the two elements are equal."""
     if lhs == rhs:
-        return []
-    keys = sorted(set(lhs.support()) | set(rhs.support()), key=_sort_key)
-    return _mismatches((f"{label}T{w}", lhs.coefficient(w), rhs.coefficient(w)) for w in keys)
+        return
+    for w in sorted(set(lhs.support()) | set(rhs.support()), key=_sort_key):
+        yield f"{label}T{w}", lhs.coefficient(w), rhs.coefficient(w)
 
 
 # -- squares of w_{0,k} ------------------------------------------------------
-
-def _group_signatures(involutions):
-    """For each involution s of ``involutions`` (a ``GoodInvolutions`` view's
-    list), one iterator of the (a, a', c) of the windows of its group, in
-    the order ``enumerate_good`` yields them.
-
-    The group of s starts at -s and holds a window per subset E of Fix s, in
-    product order over the choices (-j, j) at each fixed point j, j in E being
-    the second choice.  So a = |E| runs over the sums of product((0, 1), ...),
-    a' = |Fix s| - a, and c = neat(s) + sum over E of m_j over the sums of
-    product((neat(s),), (0, m_j), ...): each window costs C-level steps only.
-    """
-    # a per subset of a set of f fixed points, in product order, for each f
-    sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(involutions[0]) + 1)]
-    for s in involutions:
-        neat, m = _neat_and_m(s)
-        a = sizes[len(m)]
-        yield zip(a, map(len(m).__sub__, a), map(sum, product((neat,), *zip(repeat(0), m))))
-
 
 class _Weights(dict):
     """(a, a', c) -> the coefficient p^x (1-p)^a' q^c (1-q)^y of T_w in
@@ -201,7 +184,7 @@ def _good_signatures(k: int):
     if k < 1:
         raise ValueError("k must be >= 1")
     windows = enumerate_good(k)
-    return windows, chain.from_iterable(_group_signatures(windows.involutions))
+    return windows, windows.signatures()
 
 
 def good_involution_weights(k: int):
@@ -210,18 +193,9 @@ def good_involution_weights(k: int):
     The weight p^((k+a-a')/2) (1-p)^a' q^c (1-q)^((k-a-a')/2), with a = a(w),
     a' = a(-w) and c = c(w), is the coefficient of T_w in T_{w_{0,k}}^2.  It
     depends only on (a, a', c), so it is built once per triple and the same
-    (immutable) BivarPoly is shared by every w with that triple.
-
-    The statistics come from the involution s = |w| of S_k and the set
-    E = {j : w(j) = j}, a subset of Fix(s): a(w) = |E|, a(-w) = |Fix s| - |E|
-    and c(w) = neat(s) + sum over j in E of m_j(s), m_j(s) = #{i < j : s(i) < j}.
-    For c, take a pair i < j.  If neither end is in E, w = -s on both and the
-    pair is tidy in w exactly when it is neat in s.  If only i is in E, the
-    condition -w(j) = s(j) < i is that of neatness, and -w(i) = -i < j holds
-    anyway.  If j is in E, -w(j) = -j < i holds, so the pair is tidy exactly
-    when -w(i) < j, i.e. s(i) < j (-w(i) is s(i) or -i); it was not neat,
-    since s(j) = j > i.  ``enumerate_good`` groups G_k by s, so neat(s) and
-    m(s) are computed once per group and each w costs C-level steps only.
+    (immutable) BivarPoly is shared by every w with that triple.  The
+    statistics come from ``GoodInvolutions.signatures``, once per group of
+    G_k; the ``heckeb.combinat`` docstring derives them.
     """
     windows, signatures = _good_signatures(k)
     weights = _Weights(k)
@@ -267,7 +241,7 @@ def verify_w0k(k: int) -> VerificationReport:
     weights = _Weights(k)
     if not square and all(c == weights[s] for (_, s), c in pairs.items()):
         return _report("w0k", {"k": k}, t0, [])
-    mismatches = _hecke_mismatches(mult(t_of(w), t_of(w)), closed_form_w0k_square(k))
+    mismatches = _mismatches(_hecke_comparisons(mult(t_of(w), t_of(w)), closed_form_w0k_square(k)))
     if not mismatches:  # the closed form's dict hides a window listed twice
         mismatches = [
             {"where": "G_k", "lhs": f"{len(windows)} windows", "rhs": f"{len(set(windows))} distinct"}
@@ -286,14 +260,8 @@ def f_k_direct(k: int) -> BivarPoly:
 
     Both statistics come from one unchecked pass over each window
     (``combinat._neat_and_m``, whose list has one entry per fixed point).
-    neat also sums, over the arcs i < w(i), the positions x strictly between
-    i and w(i) with w(x) > i, the positions still open when the backtracking
-    fill of ``symmetric_involutions`` places that arc: under an arc a fixed
-    point adds 1 and a nested arc adds 2 (both its ends are counted), while
-    of two crossing arcs only the left one counts an end of the other, so the
-    pair adds 1.  Pairing the first open position with the m-th open position
-    after it thus adds q^(m-1), and (1-q)(1 + q + ... + q^(k-2)) = 1 - q^(k-1)
-    is the factor of ``f_k_recurrence``.
+    The ``heckeb.combinat`` docstring shows why neat gives the factor
+    1 - q^(k-1) of ``f_k_recurrence``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -387,23 +355,22 @@ def verify_conj_lemma(k: int) -> VerificationReport:
     t_top = generator(0, k + 1)
     one_minus_p = ONE - P
     one_minus_q = ONE - Q
-    mism = []
-    for w in enumerate_good(k):
-        w1 = w.embed(k + 1)
-        engine = mult(mult(tx, t_of(w1)), tx_inv)
-        base = x * w1 * x_inv
-        qa = Q ** stat_a(w)
-        terms = {base: P * qa, base * t_top: one_minus_p * qa}
-        for j in range(1, k + 1):
-            if w[j - 1] == j:
-                key = x * w1 * conjugator_omit(j, k).inverse()
-                terms[key] = one_minus_q * Q ** stat_d(j, w)
-        expected = HeckeElement(k + 1, terms)
-        found = _hecke_mismatches(engine, expected, label=f"w={w} ")
-        mism.extend(found)
-        if len(mism) >= WITNESS_LIMIT:
-            break
-    return _report("conj", {"k": k}, t0, mism)
+
+    def comparisons():
+        for w in enumerate_good(k):
+            w1 = w.embed(k + 1)
+            engine = mult(mult(tx, t_of(w1)), tx_inv)
+            base = x * w1 * x_inv
+            qa = Q ** stat_a(w)
+            terms = {base: P * qa, base * t_top: one_minus_p * qa}
+            for j in range(1, k + 1):
+                if w[j - 1] == j:
+                    key = x * w1 * conjugator_omit(j, k).inverse()
+                    terms[key] = one_minus_q * Q ** stat_d(j, w)
+            expected = HeckeElement(k + 1, terms)
+            yield from _hecke_comparisons(engine, expected, label=f"w={w} ")
+
+    return _report("conj", {"k": k}, t0, _mismatches(comparisons()))
 
 
 def verify_tc_identity(n: int, k: int) -> VerificationReport:
@@ -424,13 +391,16 @@ def verify_tc_identity(n: int, k: int) -> VerificationReport:
             w = w.apply_right(g)
         terms[w] = one_minus_q * Q ** (i - 1)
     expected = HeckeElement(m, terms)
-    return _report("tc", {"k": k, "n": n}, t0, _hecke_mismatches(engine, expected))
+    return _report("tc", {"k": k, "n": n}, t0, _mismatches(_hecke_comparisons(engine, expected)))
 
 
 def verify_baby_succ(n: int, k: int) -> VerificationReport:
     """Conjugation by c = s_{n+1}...s_{n+k} maps the coset (B_n x S_k) w_{n,k}
     into (B_{n+1} x S_k) w_{n+1,k}, adding 2k to the length; the reverse
-    conjugation lands back exactly when position n+1 is fixed."""
+    conjugation lands back exactly when position n+1 is fixed.
+
+    Only the failed tests are listed as comparisons, so a passing element
+    formats no witness text."""
     if n < 0 or k < 2:
         raise ValueError("need n >= 0 and k >= 2")
     t0 = time.perf_counter()
@@ -439,33 +409,26 @@ def verify_baby_succ(n: int, k: int) -> VerificationReport:
     c_inv = c.inverse()
     w_nk = make_w_nk(n, k)
     w_up = make_w_nk(n + 1, k)
-    mism = []
 
-    def note(where, lhs, rhs):
-        mism.append({"where": where, "lhs": str(lhs), "rhs": str(rhs)})
+    def failures():
+        for u in parabolic_elements(n, k):
+            w = (u * w_nk).embed(m)
+            conj = c * w * c_inv
+            if conj.length() != w.length() + 2 * k:
+                yield f"length of c*{w}*c^-1", conj.length(), w.length() + 2 * k
+            if distinguished_factor(conj, n + 1, k)[1] != w_up:
+                yield f"coset membership of c*{w}*c^-1", conj, f"(B_{n+1} x S_{k}) w_{n+1},{k}"
+        for u in parabolic_elements(n + 1, k):
+            w = u * w_up
+            back = c_inv * w * c
+            lands = (
+                back[n + k] == n + k + 1
+                and distinguished_factor(back.restrict(n + k), n, k)[1] == w_nk
+            )
+            if lands != (w[n] == n + 1):
+                yield f"return conjugation of {w}", lands, w[n] == n + 1
 
-    for u in parabolic_elements(n, k):
-        w = (u * w_nk).embed(m)
-        conj = c * w * c_inv
-        if conj.length() != w.length() + 2 * k:
-            note(f"length of c*{w}*c^-1", conj.length(), w.length() + 2 * k)
-        if distinguished_factor(conj, n + 1, k)[1] != w_up:
-            note(f"coset membership of c*{w}*c^-1", conj, f"(B_{n+1} x S_{k}) w_{n+1},{k}")
-        if len(mism) >= WITNESS_LIMIT:
-            return _report("baby", {"k": k, "n": n}, t0, mism)
-
-    for u in parabolic_elements(n + 1, k):
-        w = u * w_up
-        back = c_inv * w * c
-        lands = (
-            back[n + k] == n + k + 1
-            and distinguished_factor(back.restrict(n + k), n, k)[1] == w_nk
-        )
-        if lands != (w[n] == n + 1):
-            note(f"return conjugation of {w}", lands, w[n] == n + 1)
-        if len(mism) >= WITNESS_LIMIT:
-            break
-    return _report("baby", {"k": k, "n": n}, t0, mism)
+    return _report("baby", {"k": k, "n": n}, t0, _mismatches(failures()))
 
 
 # -- the main identity -------------------------------------------------------------
@@ -482,7 +445,7 @@ def verify_main(n: int, k: int) -> VerificationReport:
     reduced = quotient.map_coefficients(lambda c: reduce_mod_cyclotomic(c, mod))
     scalar = reduce_mod_cyclotomic(ONE + (-P) ** k, mod)
     expected = HeckeElement(n, {identity(n): scalar})
-    return _report("main", {"k": k, "n": n}, t0, _hecke_mismatches(reduced, expected))
+    return _report("main", {"k": k, "n": n}, t0, _mismatches(_hecke_comparisons(reduced, expected)))
 
 
 def hecke_parameter(k: int) -> BivarPoly:

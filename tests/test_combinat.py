@@ -209,6 +209,12 @@ class TestStatistics:
             assert stat_c(identity(k).negate()) == 0
             assert stat_c(identity(k)) == k * (k - 1) // 2
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_signatures_match_the_statistics_window_by_window(self, k):
+        good = enumerate_good(k)
+        expected = [(stat_a(w), stat_a(w.negate()), stat_c(w)) for w in good]
+        assert list(good.signatures()) == expected
+
     def test_parity_of_exponents(self):
         # both closed-form exponents (k +/- a - a_neg)/2 must be integers
         for k in range(1, 7):

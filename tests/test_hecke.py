@@ -777,6 +777,15 @@ class TestFormats:
     def test_str_of_zero(self):
         assert str(HeckeElement(2, {})) == "0"
 
+    def test_json_bool_window_entry_rejected(self):
+        with pytest.raises(ValueError, match="True"):
+            HeckeElement.from_json({"rank": 1, "terms": [{"w": [True], "coeff": ONE.to_json()}]})
+
+    def test_json_repeated_window_rejected(self):
+        term = {"w": [1, 2], "coeff": ONE.to_json()}
+        with pytest.raises(ValueError, match="twice"):
+            HeckeElement.from_json({"rank": 2, "terms": [term, {**term, "coeff": P.to_json()}]})
+
     def test_str_formats_each_coefficient_object_once(self, monkeypatch):
         h = evaluate_word(parse_word("w_nk(0,3)^2"), 3)
         terms = h.sorted_terms()

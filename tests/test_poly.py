@@ -222,3 +222,23 @@ class TestFormats:
             BivarPoly({(-1, 0): 1})
         with pytest.raises(TypeError):
             BivarPoly({(0, 0): 1.5})
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            BivarPoly({(1.5, 0): 1})
+
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            BivarPoly({(True, 0): 1})
+
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            BivarPoly({(0, 0): True})
+        with pytest.raises(TypeError):
+            BivarPoly(True)
+        with pytest.raises(TypeError):
+            P * True
+
+    def test_json_repeated_monomial_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            BivarPoly.from_json([{"p": 0, "q": 0, "c": "1"}, {"p": 0, "q": 0, "c": "2"}])

@@ -234,6 +234,10 @@ class TestFormats:
             with pytest.raises(ValueError):
                 SignedPermutation(bad)
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(ValueError, match="True"):
+            SignedPermutation([True, 2])
+
     def test_restrict_requires_fixed_suffix(self):
         w = SignedPermutation([2, 1, 3])
         assert w.restrict(2) == SignedPermutation([2, 1])

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from heckeb.combinat import enumerate_good, stat_a, symmetric_involutions
-from heckeb.hecke import HeckeElement, mult, t_of, trivial_quotient, z_coefficient
+from heckeb.hecke import (
+    HeckeElement,
+    distinguished_factor,
+    mult,
+    t_of,
+    trivial_quotient,
+    z_coefficient,
+)
 from heckeb.poly import BivarPoly, ONE, P, Q, cyclotomic, reduce_mod_cyclotomic
 from heckeb.signedperm import generator, identity, make_cycle, make_w_nk
 from heckeb import cli, combinat
@@ -209,8 +216,8 @@ class TestW0kStreamed:
     def failing_witness(self):
         report = V.verify_w0k(self.K)
         assert not report.passed
-        assert report.witness == V._hecke_mismatches(
-            self.square(self.K), V.closed_form_w0k_square(self.K)
+        assert report.witness == V._mismatches(
+            V._hecke_comparisons(self.square(self.K), V.closed_form_w0k_square(self.K))
         )
         return report.witness
 
@@ -337,12 +344,12 @@ class TestW0kStreamed:
         # square, read at every pop: never more than one group, 2^k
         k = 6
         built, lags = [0], []
-        original_product, original_mult = combinat.product, V.mult
+        original_group, original_mult = combinat.GoodInvolutions._group, V.mult
 
-        def counted(*pools):
-            for item in original_product(*pools):
+        def counted(self, s):
+            for window in original_group(self, s):
                 built[0] += 1
-                yield item
+                yield window
 
         class Square(dict):
             def pop(self, key, default):
@@ -353,7 +360,7 @@ class TestW0kStreamed:
             h = original_mult(a, b)
             return HeckeElement._raw(h.rank, Square(h._terms))
 
-        monkeypatch.setattr(combinat, "product", counted)
+        monkeypatch.setattr(combinat.GoodInvolutions, "_group", counted)
         monkeypatch.setattr(V, "mult", square)
         assert V.verify_w0k(k).passed
         assert len(lags) == built[0] == 499
@@ -363,12 +370,12 @@ class TestW0kStreamed:
 class TestMismatches:
     def test_equal_elements_have_no_witness(self):
         h = V.closed_form_w0k_square(3)
-        assert V._hecke_mismatches(h, h) == []
+        assert V._mismatches(V._hecke_comparisons(h, h)) == []
 
     def test_unequal_elements_capped_in_length_window_order(self):
         h = V.closed_form_w0k_square(3)
         assert len(h.support()) > V.WITNESS_LIMIT
-        found = V._hecke_mismatches(h, HeckeElement(3, {}), label="x ")
+        found = V._mismatches(V._hecke_comparisons(h, HeckeElement(3, {}), label="x "))
         expected = [
             {"where": f"x T{w}", "lhs": str(c), "rhs": "0"}
             for w, c in h.sorted_terms()[: V.WITNESS_LIMIT]
@@ -452,6 +459,51 @@ class TestConj:
         lhs = mult(mult(t_of(x), t_of(identity(2))), t_of(x.inverse()))
         assert len(lhs.support()) == 3
 
+    # stat_a off by one multiplies the two weights q^a by q; the fixed point
+    # terms keep theirs, so each w gives two mismatches, in length-window order
+    WITNESSES = {
+        1: [
+            ("w=[-1] T[1,-2]", "p", "p*q"),
+            ("w=[-1] T[-1,-2]", "1 - p", "q - p*q"),
+            ("w=[1] T[1,2]", "p*q", "p*q^2"),
+            ("w=[1] T[-1,2]", "q - p*q", "q^2 - p*q^2"),
+        ],
+        3: [
+            ("w=[-1,-2,-3] T[1,-2,-3,-4]", "p", "p*q"),
+            ("w=[-1,-2,-3] T[-1,-2,-3,-4]", "1 - p", "q - p*q"),
+            ("w=[-1,-2,3] T[1,-2,-3,4]", "p*q", "p*q^2"),
+            ("w=[-1,-2,3] T[-1,-2,-3,4]", "q - p*q", "q^2 - p*q^2"),
+            ("w=[-1,2,-3] T[1,-2,3,-4]", "p*q", "p*q^2"),
+            ("w=[-1,2,-3] T[-1,-2,3,-4]", "q - p*q", "q^2 - p*q^2"),
+            ("w=[-1,2,3] T[1,-2,3,4]", "p*q^2", "p*q^3"),
+            ("w=[-1,2,3] T[-1,-2,3,4]", "q^2 - p*q^2", "q^3 - p*q^3"),
+            ("w=[1,-2,-3] T[1,2,-3,-4]", "p*q", "p*q^2"),
+            ("w=[1,-2,-3] T[-1,2,-3,-4]", "q - p*q", "q^2 - p*q^2"),
+        ],
+        4: [
+            ("w=[-1,-2,-3,-4] T[1,-2,-3,-4,-5]", "p", "p*q"),
+            ("w=[-1,-2,-3,-4] T[-1,-2,-3,-4,-5]", "1 - p", "q - p*q"),
+            ("w=[-1,-2,-3,4] T[1,-2,-3,-4,5]", "p*q", "p*q^2"),
+            ("w=[-1,-2,-3,4] T[-1,-2,-3,-4,5]", "q - p*q", "q^2 - p*q^2"),
+            ("w=[-1,-2,3,-4] T[1,-2,-3,4,-5]", "p*q", "p*q^2"),
+            ("w=[-1,-2,3,-4] T[-1,-2,-3,4,-5]", "q - p*q", "q^2 - p*q^2"),
+            ("w=[-1,-2,3,4] T[1,-2,-3,4,5]", "p*q^2", "p*q^3"),
+            ("w=[-1,-2,3,4] T[-1,-2,-3,4,5]", "q^2 - p*q^2", "q^3 - p*q^3"),
+            ("w=[-1,2,-3,-4] T[1,-2,3,-4,-5]", "p*q", "p*q^2"),
+            ("w=[-1,2,-3,-4] T[-1,-2,3,-4,-5]", "q - p*q", "q^2 - p*q^2"),
+        ],
+    }
+
+    @pytest.mark.parametrize("k", sorted(WITNESSES))
+    def test_witness_of_a_wrong_weight(self, monkeypatch, k):
+        # k = 3 and 4 stop at the tenth mismatch, the fifth w
+        checked = []
+        monkeypatch.setattr(V, "stat_a", lambda w: checked.append(w) or stat_a(w) + 1)
+        report = V.verify_conj_lemma(k)
+        assert not report.passed
+        assert [tuple(item.values()) for item in report.witness] == self.WITNESSES[k]
+        assert len(checked) == min(len(enumerate_good(k)), 5)
+
 
 class TestTc:
     @pytest.mark.parametrize("n,k", [(0, 2), (1, 2), (0, 3)])
@@ -468,6 +520,72 @@ class TestBaby:
     @pytest.mark.parametrize("n,k", [(0, 2), (1, 2), (0, 3)])
     def test_pass(self, n, k):
         assert V.verify_baby_succ(n, k).passed
+
+    # (n, k) -> (the witness, the coset lookups made) when every third
+    # lookup returns the wrong representative
+    WITNESSES = {
+        (1, 3): (
+            [
+                ("coset membership of c*[1,-4,-2,-3,5]*c^-1", "[1,2,-5,-3,-4]", "(B_2 x S_3) w_2,3"),
+                ("coset membership of c*[1,-2,-3,-4,5]*c^-1", "[1,2,-3,-4,-5]", "(B_2 x S_3) w_2,3"),
+                ("coset membership of c*[-1,-4,-2,-3,5]*c^-1", "[-1,2,-5,-3,-4]", "(B_2 x S_3) w_2,3"),
+                ("coset membership of c*[-1,-2,-3,-4,5]*c^-1", "[-1,2,-3,-4,-5]", "(B_2 x S_3) w_2,3"),
+                ("return conjugation of [1,2,-5,-3,-4]", "False", "True"),
+                ("return conjugation of [1,2,-3,-4,-5]", "False", "True"),
+                ("return conjugation of [-1,2,-5,-3,-4]", "False", "True"),
+                ("return conjugation of [-1,2,-3,-4,-5]", "False", "True"),
+            ],
+            24,
+        ),
+        (0, 4): (
+            [
+                ("coset membership of c*[-4,-2,-3,-1,5]*c^-1", "[1,-5,-3,-4,-2]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-2,-3,-4,-1,5]*c^-1", "[1,-3,-4,-5,-2]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-4,-1,-3,-2,5]*c^-1", "[1,-5,-2,-4,-3]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-1,-3,-4,-2,5]*c^-1", "[1,-2,-4,-5,-3]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-4,-1,-2,-3,5]*c^-1", "[1,-5,-2,-3,-4]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-1,-2,-4,-3,5]*c^-1", "[1,-2,-3,-5,-4]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-3,-1,-2,-4,5]*c^-1", "[1,-4,-2,-3,-5]", "(B_1 x S_4) w_1,4"),
+                ("coset membership of c*[-1,-2,-3,-4,5]*c^-1", "[1,-2,-3,-4,-5]", "(B_1 x S_4) w_1,4"),
+                ("return conjugation of [1,-5,-3,-4,-2]", "False", "True"),
+                ("return conjugation of [1,-3,-4,-5,-2]", "False", "True"),
+            ],
+            30,
+        ),
+        (3, 2): (
+            [
+                ("coset membership of c*[1,2,-3,-5,-4,6]*c^-1", "[1,2,-3,4,-6,-5]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[1,-2,3,-4,-5,6]*c^-1", "[1,-2,3,4,-5,-6]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[-1,2,3,-5,-4,6]*c^-1", "[-1,2,3,4,-6,-5]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[-1,2,-3,-4,-5,6]*c^-1", "[-1,2,-3,4,-5,-6]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[-1,-2,-3,-5,-4,6]*c^-1", "[-1,-2,-3,4,-6,-5]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[1,3,2,-4,-5,6]*c^-1", "[1,3,2,4,-5,-6]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[1,-3,2,-5,-4,6]*c^-1", "[1,-3,2,4,-6,-5]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[1,-3,-2,-4,-5,6]*c^-1", "[1,-3,-2,4,-5,-6]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[-1,3,-2,-5,-4,6]*c^-1", "[-1,3,-2,4,-6,-5]", "(B_4 x S_2) w_4,2"),
+                ("coset membership of c*[-1,-3,2,-4,-5,6]*c^-1", "[-1,-3,2,4,-5,-6]", "(B_4 x S_2) w_4,2"),
+            ],
+            30,
+        ),
+    }
+
+    @pytest.mark.parametrize("n,k", sorted(WITNESSES))
+    def test_witness_of_wrong_coset_lookups(self, monkeypatch, n, k):
+        # (0, 4) reaches the tenth mismatch in the return loop, (3, 2) in
+        # the first; either way no lookup follows it
+        lookups = []
+
+        def every_third_wrong(w, n, k):
+            lookups.append(w)
+            factor, x = distinguished_factor(w, n, k)
+            return (factor, x.negate()) if len(lookups) % 3 == 0 else (factor, x)
+
+        monkeypatch.setattr(V, "distinguished_factor", every_third_wrong)
+        report = V.verify_baby_succ(n, k)
+        assert not report.passed
+        witness, made = self.WITNESSES[n, k]
+        assert [tuple(item.values()) for item in report.witness] == witness
+        assert len(lookups) == made
 
 
 class TestMain:
