@@ -21,7 +21,7 @@ from them.
 
 neat(s) sums, over the arcs i < s(i), the positions x strictly between i and
 s(i) with s(x) > i, which are the positions still open when the backtracking
-fill of ``symmetric_involutions`` places that arc.  This is the
+fill of ``Involutions`` places that arc.  This is the
 crossings-and-nestings count of the matching of s (Chen, Deng, Du, Stanley
 and Yan, "Crossings and nestings of matchings and partitions", Trans. AMS
 2007): neat(s) = 2 nestings + crossings + fixed points under an arc.  A fixed
@@ -42,9 +42,12 @@ f_k computed in the verifier.
 
 Both enumerators give plain values, good by construction: a good involution
 is its SignedPermutation window and a separated set is the increasing tuple
-of its members.  ``enumerate_separated`` returns a list; ``enumerate_good``
-returns a ``GoodInvolutions`` view, which lists the involutions of S_k and
-builds each one's group of windows only when iteration reaches it.  The
+of its members.  ``enumerate_separated`` returns a list.
+``symmetric_involutions`` returns an ``Involutions`` view, which holds only
+the window being filled and yields each involution of S_k as it is filled;
+``enumerate_good`` returns a ``GoodInvolutions`` view, which holds the list of
+the involutions of S_k (a small fraction of G_k) and builds each one's group
+of windows only when iteration reaches it.  The
 definitions they meet are tested predicates (``is_good`` and
 ``pairwise_separated`` in ``tests/oracles.py``), not checks repeated on
 every value; so are the pair scans of c(w) and neat(s) (``stat_c`` and
@@ -61,6 +64,7 @@ from .signedperm import SignedPermutation, generator
 
 __all__ = [
     "GoodInvolutions",
+    "Involutions",
     "enumerate_good",
     "stat_a",
     "stat_d",
@@ -117,52 +121,73 @@ def _neat_and_m(s) -> tuple[int, list[int]]:
     return neat, m
 
 
-def symmetric_involutions(k: int) -> list[SignedPermutation]:
-    """All involutions of S_k as sign-positive windows, in window order: one
-    backtracking fill pairs the first open position i with each open j >= i in
-    turn (j = i fixes i), so no sort is needed."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    window = [0] * k  # 0 marks an open position
-    out = []
-    # A stack of the placed pairs, not a recursive closure: a closure that
-    # calls itself is a reference cycle, which would keep ``out`` alive until
-    # the cyclic collector runs.
-    arcs = []
-    i = j = 0  # pair the first open position i with the first open j' >= j
-    while True:
-        if i == k:
-            out.append(tuple.__new__(SignedPermutation, window))
-            j = k  # the window is full: undo the last pair
-        while j < k and window[j]:
-            j += 1
-        if j < k:
-            window[i], window[j] = j + 1, i + 1
-            arcs.append((i, j))
-            while i < k and window[i]:
-                i += 1
-            j = i
-        elif arcs:
-            i, j = arcs.pop()
-            window[i] = window[j] = 0
-            j += 1
-        else:
-            return out
+class Involutions:
+    """The involutions of S_k as a sized view that can be iterated more than
+    once; each iteration runs the fill afresh and yields one window at a time.
+
+    Each window is a sign-positive SignedPermutation, in window order: one
+    backtracking fill pairs the first open position i with each open j >= i
+    in turn (j = i fixes i), so no sort is needed.  Nothing but the window
+    being filled is held, so a consumer that drops each window as it goes
+    never holds the involutions.  ``len`` walks the same fill when asked, so
+    ``list(view)``, which sizes its list by ``len``, runs the fill twice.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        self.k = k
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __iter__(self):
+        k = self.k
+        window = [0] * k  # 0 marks an open position
+        arcs = []  # a stack of the placed pairs
+        i = j = 0  # pair the first open position i with the first open j' >= j
+        while True:
+            if i == k:
+                yield tuple.__new__(SignedPermutation, window)
+                j = k  # the window is full: undo the last pair
+            while j < k and window[j]:
+                j += 1
+            if j < k:
+                window[i], window[j] = j + 1, i + 1
+                arcs.append((i, j))
+                while i < k and window[i]:
+                    i += 1
+                j = i
+            elif arcs:
+                i, j = arcs.pop()
+                window[i] = window[j] = 0
+                j += 1
+            else:
+                return
+
+
+def symmetric_involutions(k: int) -> Involutions:
+    """All involutions of S_k as sign-positive windows, in window order, as an
+    ``Involutions`` view: each iteration fills them one at a time."""
+    return Involutions(k)
 
 
 class GoodInvolutions:
     """G_k as a sized view that can be iterated more than once.
 
-    The involutions of S_k are listed when the view is made; the windows of
-    each involution's group are built only when iteration reaches it, so a
-    consumer that drops each window as it goes never holds all of G_k.
+    The involutions of S_k are listed when the view is made (9,496 windows
+    at k = 10, far fewer than G_k's 123,109); the windows of each involution's
+    group are built only when iteration reaches it, so a consumer that drops
+    each window as it goes never holds all of G_k.
     ``len`` is the sum over the involutions of 2^|Fix s|, counted when asked.
     """
 
     __slots__ = ("involutions", "_negated")
 
     def __init__(self, k: int):
-        self.involutions = symmetric_involutions(k)
+        self.involutions = list(symmetric_involutions(k))  # sized by len: the fill runs twice
         self._negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
 
     def __len__(self) -> int:

@@ -278,7 +278,10 @@ class HeckeElement:
         }
         if len(terms) != len(data["terms"]):
             raise ValueError("a window is listed twice")
-        return cls(int(data["rank"]), terms)
+        rank = data["rank"]
+        if type(rank) is not int:  # a bool or a float is refused, not truncated
+            raise ValueError(f"rank {rank!r} is not an int")
+        return cls(rank, terms)
 
 
 def unit(rank: int) -> HeckeElement:

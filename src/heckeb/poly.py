@@ -14,6 +14,7 @@ ascending p-exponent.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 __all__ = [
@@ -216,10 +217,22 @@ class BivarPoly:
 
     @classmethod
     def from_json(cls, data) -> "BivarPoly":
-        terms = {(int(t["p"]), int(t["q"])): int(t["c"]) for t in data}
+        """The inverse of ``to_json``.  Exponents must be ints; a coefficient
+        an int or the decimal string ``to_json`` writes.  A bool, a float or
+        any other string raises ValueError rather than being truncated."""
+        terms = {(t["p"], t["q"]): _coefficient_from_json(t["c"]) for t in data}
         if len(terms) != len(data):
             raise ValueError("a monomial is listed twice")
         return cls(terms)
+
+
+_DECIMAL = re.compile(r"-?[1-9][0-9]*|0")
+
+
+def _coefficient_from_json(c) -> int:
+    if type(c) is int or (type(c) is str and _DECIMAL.fullmatch(c)):
+        return int(c)
+    raise ValueError(f"coefficient {c!r} is neither an int nor its decimal string")
 
 
 def _coerce(value):

@@ -260,8 +260,10 @@ def f_k_direct(k: int) -> BivarPoly:
 
     Both statistics come from one unchecked pass over each window
     (``combinat._neat_and_m``, whose list has one entry per fixed point).
-    The ``heckeb.combinat`` docstring shows why neat gives the factor
-    1 - q^(k-1) of ``f_k_recurrence``.
+    The windows are streamed from the fill of ``symmetric_involutions`` and
+    dropped once read: only the counts per (a, neat) are held, never the
+    involutions.  The ``heckeb.combinat`` docstring shows why neat gives the
+    factor 1 - q^(k-1) of ``f_k_recurrence``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -7,6 +7,7 @@ import pytest
 
 from heckeb import combinat
 from heckeb.combinat import (
+    Involutions,
     _neat_and_m,
     binomial_sum,
     conjugator,
@@ -291,7 +292,7 @@ class TestNeat:
 
     @pytest.mark.parametrize("k", range(10))
     def test_symmetric_involutions_in_window_order(self, k):
-        invs = symmetric_involutions(k)
+        invs = list(symmetric_involutions(k))
         assert all(a < b for a, b in zip(invs, invs[1:]))
         assert all(is_involution(w) and min(w, default=1) > 0 for w in invs)
         assert len(invs) == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620][k]
@@ -300,6 +301,19 @@ class TestNeat:
         # no reference cycle holds the list: it is freed when its caller drops it
         invs = symmetric_involutions(6)
         assert sys.getrefcount(invs) == 2
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 8])
+    def test_involutions_view_iterates_the_same_twice(self, k):
+        invs = symmetric_involutions(k)
+        assert isinstance(invs, Involutions)
+        assert list(invs) == list(invs)
+
+    def test_involutions_view_len_is_the_involution_numbers(self):
+        # I(k) = I(k-1) + (k-1) I(k-2): k is fixed or paired with one of k-1
+        numbers = [1, 1]
+        for k in range(2, 13):
+            numbers.append(numbers[k - 1] + (k - 1) * numbers[k - 2])
+        assert [len(symmetric_involutions(k)) for k in range(13)] == numbers
 
 
 class TestSuccPred:

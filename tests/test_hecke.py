@@ -781,6 +781,11 @@ class TestFormats:
         with pytest.raises(ValueError, match="True"):
             HeckeElement.from_json({"rank": 1, "terms": [{"w": [True], "coeff": ONE.to_json()}]})
 
+    @pytest.mark.parametrize("rank", [1.9, 1.0, True, "1"])
+    def test_json_rank_refused_not_truncated(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            HeckeElement.from_json({"rank": rank, "terms": [{"w": [1], "coeff": ONE.to_json()}]})
+
     def test_json_repeated_window_rejected(self):
         term = {"w": [1, 2], "coeff": ONE.to_json()}
         with pytest.raises(ValueError, match="twice"):
@@ -1172,3 +1177,36 @@ class TestPooledFold:
         evaluate_word(parse_word("( t s1 s2 s3 )^32"), 4)
         assert len(entries) == 128
         assert all(size <= 2 * last for size, last in entries)
+
+
+def iota(h):
+    """sum c_y T_y -> sum c_y T_{y^-1}.  The map T_s -> T_s on the generators
+    extends to an anti-automorphism of the Hecke algebra, since the quadratic
+    and braid relations read the same backwards, and it sends T_y, y = s_1...s_l
+    reduced, to T_{s_l}...T_{s_1} = T_{y^-1}."""
+    return HeckeElement(h.rank, {w.inverse(): h.coefficient(w) for w in h.support()})
+
+
+@st.composite
+def basis_pairs(draw):
+    pool = _POOLS[draw(st.integers(1, 5))]
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+class TestAntiInvolution:
+    """iota(T_a T_b) = T_{b^-1} T_{a^-1}: a check of mult that reads every
+    coefficient of a product against the product taken in reverse."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(basis_pairs())
+    @example((generator(0, 2), generator(1, 2).apply_right(0)))
+    def test_reverses_basis_products(self, pair):
+        a, b = pair
+        assert iota(mult(t_of(a), t_of(b))) == mult(t_of(b.inverse()), t_of(a.inverse()))
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in range(1, 7) for n in range(7 - k)])
+    def test_fixes_squares_of_w_nk(self, n, k):
+        # w_{n,k} is an involution, so iota(T_w^2) = T_{w^-1}^2 = T_w^2
+        w = make_w_nk(n, k)
+        square = mult(t_of(w), t_of(w))
+        assert iota(square) == square

@@ -242,3 +242,28 @@ class TestFormats:
     def test_json_repeated_monomial_rejected(self):
         with pytest.raises(ValueError, match="twice"):
             BivarPoly.from_json([{"p": 0, "q": 0, "c": "1"}, {"p": 0, "q": 0, "c": "2"}])
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"p": 1.5, "q": 0, "c": "1"},
+            {"p": True, "q": 0, "c": "1"},
+            {"p": "1", "q": 0, "c": "1"},
+            {"p": 0, "q": 2.0, "c": "1"},
+            {"p": 0, "q": False, "c": "1"},
+            {"p": 0, "q": 0, "c": 1.5},
+            {"p": 0, "q": 0, "c": True},
+            {"p": 0, "q": 0, "c": "1.5"},
+            {"p": 0, "q": 0, "c": " 1"},
+            {"p": 0, "q": 0, "c": "+1"},
+            {"p": 0, "q": 0, "c": "01"},
+            {"p": 0, "q": 0, "c": "1_0"},
+        ],
+    )
+    def test_json_field_refused_not_truncated(self, term):
+        with pytest.raises(ValueError):
+            BivarPoly.from_json([term])
+
+    def test_json_int_and_negative_string_coefficients_read(self):
+        data = [{"p": 0, "q": 0, "c": -3}, {"p": 1, "q": 0, "c": "-12"}, {"p": 0, "q": 1, "c": "0"}]
+        assert BivarPoly.from_json(data) == -3 - 12 * P

@@ -1,6 +1,7 @@
 """The verification layer: closed forms, reports, witnesses, suites."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -397,6 +398,17 @@ class TestFk:
     )
     def test_direct_matches_per_involution_oracle(self, k):
         assert V.f_k_direct(k) == f_k_direct_oracle(k)
+
+    def test_direct_streams_the_involutions(self):
+        # a list of the 35,696 involutions of S_11 alone peaks near 5 MB
+        tracemalloc.start()
+        try:
+            direct = V.f_k_direct(11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert direct == V.f_k_recurrence(11)
 
     def test_k2_separated_expansion_sign(self):
         # the separated 2-set sum expands to 1 - (1+q)p + p^2, minus sign included
