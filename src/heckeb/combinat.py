@@ -29,8 +29,11 @@ point under an arc is counted once and a nested arc twice (both of its
 ends); of two crossing arcs only the left one counts an end of the other.
 So pairing the first open position with the m-th open position after it
 adds q^(m-1), and (1 - q)(1 + ... + q^(k-2)) = 1 - q^(k-1) is the factor of
-the recurrence for f_k.  ``_neat_and_m`` reads neat(s), the fixed points of
-s and each m_j = #{i < j : s(i) < j} in one pass over the window of s.
+the recurrence for f_k.  ``Involutions.statistics`` reads neat(s) and each
+m_j = #{i < j : s(i) < j} at a fixed point j of s off that fill, with no
+window built: when j, the first open position, is fixed, all of 1..j-1 is
+filled and the filled positions above j are the right ends of the arcs open
+over j, so m_j is 2(j - 1) less the number of positions filled.
 
 G_{k+1} is produced from G_k by conjugating with x = t s_1 ... s_k (or with
 x missing one letter); ``conjugator`` and ``conjugator_omit`` give these
@@ -51,7 +54,8 @@ of windows only when iteration reaches it.  The
 definitions they meet are tested predicates (``is_good`` and
 ``pairwise_separated`` in ``tests/oracles.py``), not checks repeated on
 every value; so are the pair scans of c(w) and neat(s) (``stat_c`` and
-``neat_count`` there).
+``neat_count`` there) and the one-pass read of a window's statistics that
+``statistics`` is held to (``_neat_and_m``).
 """
 
 from __future__ import annotations
@@ -89,38 +93,6 @@ def stat_d(i: int, w: SignedPermutation) -> int:
     return sum(1 for j in range(i + 1, len(w) + 1) if w[j - 1] == j)
 
 
-def _neat_and_m(s) -> tuple[int, list[int]]:
-    """(neat(s), [m_j for each fixed point j of s, increasing in j]) for an
-    involution s of S_k, with m_j = #{i < j : s(i) < j}, read in one pass
-    over its window (any iterable of the values).  s is not checked.
-
-    The pass keeps the left ends of the open arcs in opening order.  The
-    i < j with s(i) > j are the left ends of the arcs open over a fixed point
-    j, so m_j is j - 1 less their number.  neat(s) adds one per open arc at
-    each fixed point and at each arc's left end (every open arc crosses or
-    nests over the new one), and at an arc's right end one per open arc that
-    opened before its left end (each nests over it): a fixed point under an
-    arc counts once, a nested arc twice and a crossing once.
-    """
-    opened = []
-    m = []
-    neat = 0
-    j = 0
-    for v in s:
-        j += 1
-        if v > j:
-            neat += len(opened)
-            opened.append(j)
-        elif v < j:
-            nesting = opened.index(v)
-            neat += nesting
-            del opened[nesting]
-        else:
-            neat += len(opened)
-            m.append(j - 1 - len(opened))
-    return neat, m
-
-
 class Involutions:
     """The involutions of S_k as a sized view that can be iterated more than
     once; each iteration runs the fill afresh and yields one window at a time.
@@ -129,19 +101,43 @@ class Involutions:
     backtracking fill pairs the first open position i with each open j >= i
     in turn (j = i fixes i), so no sort is needed.  Nothing but the window
     being filled is held, so a consumer that drops each window as it goes
-    never holds the involutions.  ``len`` walks the same fill when asked, so
-    ``list(view)``, which sizes its list by ``len``, runs the fill twice.
+    never holds the involutions.  ``len`` counts the leaves of ``statistics``
+    when asked, so ``list(view)``, which sizes its list by ``len``, runs two
+    fills.
     """
 
     __slots__ = ("k",)
 
     def __init__(self, k: int):
+        if type(k) is not int:  # a bool or a float is refused, not iterated
+            raise ValueError(f"k {k!r} is not an int")
         if k < 0:
             raise ValueError("k must be nonnegative")
         self.k = k
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return sum(1 for _ in self.statistics())
+
+    def statistics(self):
+        """Each involution's (neat(s), (m_j for each fixed point j, increasing)),
+        in window order, from the fill over the tuple of open positions.
+
+        Pairing the first open position with the x-th open position after it
+        (x counted from 0) adds x to neat; fixing it, j, appends m_j = 2(j - 1)
+        less the number of positions filled (see the module docstring).
+        """
+        k = self.k
+        todo = [(tuple(range(k)), 0, ())]  # open positions (0-based), neat, m
+        pop, push = todo.pop, todo.append
+        while todo:
+            open_, neat, m = pop()
+            if not open_:
+                yield neat, m
+                continue
+            rest = open_[1:]
+            for x in range(len(rest) - 1, -1, -1):  # pushed last first: popped in window order
+                push((rest[:x] + rest[x + 1 :], neat + x, m))
+            push((rest, neat, m + (2 * open_[0] + len(open_) - k,)))
 
     def __iter__(self):
         k = self.k
@@ -184,10 +180,11 @@ class GoodInvolutions:
     ``len`` is the sum over the involutions of 2^|Fix s|, counted when asked.
     """
 
-    __slots__ = ("involutions", "_negated")
+    __slots__ = ("k", "involutions", "_negated")
 
     def __init__(self, k: int):
-        self.involutions = list(symmetric_involutions(k))  # sized by len: the fill runs twice
+        self.involutions = list(symmetric_involutions(k))  # sized by len: two fills
+        self.k = k
         self._negated = [-v for v in range(k + 1)]  # one int object per -v, shared by every window
 
     def __len__(self) -> int:
@@ -209,16 +206,18 @@ class GoodInvolutions:
         being the second choice.  So a(w) = |F| runs over the sums of
         product((0, 1), ...), a(-w) = |Fix s| - a(w), and c(w) = neat(s) + sum
         over F of m_j runs over the sums of product((neat(s),), (0, m_j), ...):
-        each window costs C-level steps only.
+        each window costs C-level steps only.  neat(s) and the m_j are read
+        off a fresh fill by ``Involutions.statistics``, which runs in the
+        order of ``involutions`` and builds no window.
         """
         # a(w) per subset of f fixed points, in product order, for each f <= k
-        sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(len(self._negated))]
+        sizes = [tuple(map(sum, product((0, 1), repeat=f))) for f in range(self.k + 1)]
 
         def group(neat, m):
             a = sizes[len(m)]
             return zip(a, map(len(m).__sub__, a), map(sum, product((neat,), *zip(repeat(0), m))))
 
-        return chain.from_iterable(starmap(group, map(_neat_and_m, self.involutions)))
+        return chain.from_iterable(starmap(group, Involutions(self.k).statistics()))
 
 
 def enumerate_good(k: int) -> GoodInvolutions:

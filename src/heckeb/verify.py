@@ -19,7 +19,6 @@ from itertools import islice, repeat, tee
 from math import comb
 
 from .combinat import (
-    _neat_and_m,
     binomial_sum,
     conjugator,
     conjugator_omit,
@@ -258,18 +257,16 @@ def f_k_direct(k: int) -> BivarPoly:
     a = |Fix w| and neat = neat(w); the involutions are counted per (a, neat)
     and each distinct weight is built once.
 
-    Both statistics come from one unchecked pass over each window
-    (``combinat._neat_and_m``, whose list has one entry per fixed point).
-    The windows are streamed from the fill of ``symmetric_involutions`` and
-    dropped once read: only the counts per (a, neat) are held, never the
-    involutions.  The ``heckeb.combinat`` docstring shows why neat gives the
-    factor 1 - q^(k-1) of ``f_k_recurrence``.
+    Both statistics are read off the fill of ``symmetric_involutions`` as it
+    places each arc and fixed point (``Involutions.statistics``, whose tuple
+    of m_j has one entry per fixed point), so no window is built: only the
+    counts per (a, neat) are held, never the involutions.  The
+    ``heckeb.combinat`` docstring shows why neat gives the factor
+    1 - q^(k-1) of ``f_k_recurrence``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    multiplicity = Counter(
-        (len(m), neat) for neat, m in map(_neat_and_m, symmetric_involutions(k))
-    )
+    multiplicity = Counter((len(m), neat) for neat, m in symmetric_involutions(k).statistics())
     pq = P * (ONE - Q)
     one_minus_p = ONE - P
     total = BivarPoly(0)

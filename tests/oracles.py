@@ -6,7 +6,6 @@ library, which keeps one home for each decision."""
 
 import itertools
 
-from heckeb.combinat import _neat_and_m
 from heckeb.poly import BivarPoly
 
 # -- signed permutations --------------------------------------------------------
@@ -46,11 +45,43 @@ def stat_c(w) -> int:
     return count
 
 
+def _neat_and_m(s) -> tuple[int, list[int]]:
+    """(neat(s), [m_j for each fixed point j of s, increasing in j]) for an
+    involution s of S_k, with m_j = #{i < j : s(i) < j}, read in one pass
+    over its window (any iterable of the values).  s is not checked.
+
+    The pass keeps the left ends of the open arcs in opening order.  The
+    i < j with s(i) > j are the left ends of the arcs open over a fixed point
+    j, so m_j is j - 1 less their number.  neat(s) adds one per open arc at
+    each fixed point and at each arc's left end (every open arc crosses or
+    nests over the new one), and at an arc's right end one per open arc that
+    opened before its left end (each nests over it): a fixed point under an
+    arc counts once, a nested arc twice and a crossing once.
+    """
+    opened = []
+    m = []
+    neat = 0
+    j = 0
+    for v in s:
+        j += 1
+        if v > j:
+            neat += len(opened)
+            opened.append(j)
+        elif v < j:
+            nesting = opened.index(v)
+            neat += nesting
+            del opened[nesting]
+        else:
+            neat += len(opened)
+            m.append(j - 1 - len(opened))
+    return neat, m
+
+
 def neat_count(w) -> int:
     """Number of neat pairs {i, j} of an involution in S_k: w(j) < i and w(i) < j.
 
     A pair is neat in w exactly when it is tidy in -w.  The window is
-    checked, then read by the library's one-pass ``_neat_and_m``.
+    checked, then read by the one-pass ``_neat_and_m``.
     """
     k = len(w)
     for i, v in enumerate(w, start=1):

@@ -7,8 +7,8 @@ import pytest
 
 from heckeb import combinat
 from heckeb.combinat import (
+    GoodInvolutions,
     Involutions,
-    _neat_and_m,
     binomial_sum,
     conjugator,
     count_separated,
@@ -27,6 +27,7 @@ from heckeb.signedperm import (
 
 from combinat_helpers import pred, shift_separated, succ
 from oracles import (
+    _neat_and_m,
     fixed_point_m_oracle,
     is_good,
     is_involution,
@@ -178,6 +179,12 @@ class TestEnumerateGood:
             with pytest.raises(ValueError, match="nonnegative"):
                 enumerate_(-1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("view", [Involutions, GoodInvolutions])
+    def test_non_int_k_rejected_when_the_view_is_made(self, view, k):
+        with pytest.raises(ValueError, match="not an int"):
+            view(k)
+
 
 class TestStatistics:
     def test_a_of_identity(self):
@@ -278,6 +285,15 @@ class TestNeat:
             assert m == fixed_point_m_oracle(s), s
             # the verifier passes the values of -s negated back, as an iterator
             assert _neat_and_m(map(abs, s.negate())) == (neat, m)
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_statistics_in_lockstep_with_the_windows(self, k):
+        view = symmetric_involutions(k)
+        for s, (neat, m) in zip(view, view.statistics(), strict=True):
+            assert (neat, list(m)) == _neat_and_m(s), s
+            assert neat == neat_pairs_oracle(s), s
+            assert list(m) == fixed_point_m_oracle(s), s
+        assert list(view.statistics()) == list(view.statistics())
 
     def test_rejects_non_involutions(self):
         with pytest.raises(ValueError):

@@ -389,6 +389,11 @@ class TestFk:
         assert V.f_k_direct(1) == ONE - P
         assert V.f_k_direct(2) == ONE - (ONE + Q) * P + P * P
 
+    def test_direct_refuses_a_bool_k(self):
+        # True passes k >= 1; the involutions' view refuses it
+        with pytest.raises(ValueError, match="not an int"):
+            V.f_k_direct(True)
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_triple_agreement(self, k):
         assert V.f_k_direct(k) == V.f_k_recurrence(k) == V.f_k_separated(k)
