@@ -259,6 +259,8 @@ def conjugator_omit(i: int, k: int) -> SignedPermutation:
 def enumerate_separated(k: int) -> list[tuple[int, ...]]:
     """All separated k-sets as increasing member tuples, by backtracking;
     sorted by (size, members)."""
+    if type(k) is not int:  # a bool or a float is refused, not enumerated
+        raise ValueError(f"k {k!r} is not an int")
     if k < 1:
         raise ValueError("k must be >= 1")
     out = [()]

@@ -20,19 +20,29 @@ are ids into a pool of hash-consed BivarPoly term dicts (Filliatre &
 Conchon, "Type-safe modular hash-consing", 2006); h is encoded once at the
 start and the windows are decoded once, at the end:
 
-- A window is one int with a whole-byte field per position (one byte below
-  rank 128, then two, four or eight), holding w(i) + 2^(W-1) for fields of
-  W bits, so field order is value order.  s_i swaps two fields, t reflects
-  field 0, and a right descent is one field comparison.
+- A window is one int key with a whole-byte field per position (one byte
+  below rank 128, then two, four or eight).  A field of W bits holds
+  v - 1 + 2^(W-1) for a value v > 0 and v + 2^(W-1) for v < 0, so field
+  order is value order and the complement of a field holds -v.
+- The signed position frame.  A key is never re-keyed as the fold moves
+  its term.  One frame (pos, neg) per fold says which field holds each
+  window position and whether it is read complemented: the key u stands
+  for the window i -> field pos[i] of u, complemented where neg[i] is set.
+  A letter moves every term from w to wg by changing the frame alone: s_i
+  swaps two entries of (pos, neg) and t complements neg[0], O(rank) per
+  letter and nothing per term.  A right descent is one field comparison
+  read through the frame, so a letter that lengthens a term writes nothing.
 - A coefficient is a BivarPoly term dict {(pe, qe): int}, pooled as it is,
   with no copy.  The pool gives each distinct dict one id; id 0 is zero.
   Pooled dicts are never changed.  Sums and splits run poly's raw term-dict
   helpers, the same loops as BivarPoly's own arithmetic.
-- The fold maps windows to ids.  A move keeps its id.  A descent looks up a
-  per-shift memo id -> (id of (1 - param)*c, id of param*c), and a merge
-  looks up a memo (a, b) -> id of a + b.  So the per-monomial work runs once
-  per distinct operation, not once per term and letter, and only a memo
-  miss calls into the pool.
+- The fold maps keys to ids.  An ascent keeps its key and id.  A descent
+  looks up a per-shift memo id -> (id of (1 - param)*c, id of param*c): its
+  key takes the id of param*c, and (1 - param)*c is added at the partner
+  key, the one that stands for w once the frame has moved.  A merge looks
+  up a memo (a, b) -> id of a + b.  So the per-monomial work runs once per
+  distinct operation, not once per term and letter, and only a memo miss
+  calls into the pool.
 - Fingerprints.  Each pooled dict has a fingerprint: its value at p = X_p,
   q = X_q, two fixed bases, modulo the prime 2^61 - 1.  That is a ring
   homomorphism, so the fingerprint of a sum or a split follows from its
@@ -55,15 +65,16 @@ start and the windows are decoded once, at the end:
   re-encoded.
 - Decoding.  The pool keeps only the live dicts, and each id becomes one
   BivarPoly around its pooled dict, shared by every term that carries it;
-  BivarPoly is never changed in place, so sharing is safe.  The {window: id}
+  BivarPoly is never changed in place, so sharing is safe.  The {key: id}
   table is then traded for a coefficient list and one buffer of every
-  window's field bytes, so the window ints are freed before any tuple is
-  built.  The fields are decoded in C-level passes to canonical entries:
-  each reads as an unsigned int and maps to one of the 2*rank + 1 int
-  objects -rank..rank, so every decoded window shares them, where a fresh
-  int per entry below -5 would cost 28 bytes.  The layout, the flip mask
-  and that table are built once per rank and field size and cached
-  (``_window_codec``).
+  key's field bytes, built in bounded chunks, so the key ints are freed
+  before any tuple is built.  The frame is applied once: position i reads
+  field column pos[i] of the buffer, a strided C-level pass that maps each
+  field to one of the 2*rank int objects -rank..-1, 1..rank (complemented
+  where the frame says so), so every decoded window shares them, where a
+  fresh int per entry below -5 would cost 28 bytes.  The field bytes of each
+  value and the two field tables are built once per rank and field size
+  and cached (``_window_codec``).
 
 Cosets.  The parabolic subgroup B_n x S_k is handled by one closed form per
 coset pattern (``_coset_form``): ``distinguished_factor`` splits a window,
@@ -76,23 +87,24 @@ Bjorner-Brenti condition on every element of B_1..B_5.
 
 Pruned products.  Every fold is bucketed by coset pattern.  Right
 multiplication by T_g sends a term with pattern P to P or to P * g
-(``_pattern_times``), so the fold keeps one bucket per pattern and drops,
-after each letter, every bucket that cannot reach a named coset
-(``mult``'s ``cosets``) by the end of the word.  What can reach them is
-one dict per fold, the last-live index {pattern: the last letter index
-from which the pattern can still reach a named coset} (``_last_live``),
-built backwards along the word with each pattern entered once: one dict
-lookup per bucket, not per term.  Only the named cosets' terms are
-decoded.  The whole product is the one bucket of the trivial split
-B_rank x S_0, whose index has one entry.
+(``_pattern_times``): at each letter a bucket's label P becomes P * g, and
+the (1 - param) parts of its descents go to the bucket labelled P after the
+letter.  A side that cannot reach a named coset (``mult``'s ``cosets``) by
+the end of the word is never written: a bucket whose new label is dead is
+dropped with its ascents, and a dead label P gets no rests.  What can reach
+them is one dict per fold, the last-live index {pattern: the last letter
+index from which the pattern can still reach a named coset}
+(``_last_live``), built backwards along the word with each pattern entered
+once: one dict lookup per bucket, not per term.  Only the named cosets'
+terms are decoded.  The whole product is the one bucket of the trivial
+split B_rank x S_0, whose index has one entry, updated in place.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, mul
 
 from .poly import ONE, BivarPoly, _iadd_raw, _isub_raw
@@ -415,128 +427,74 @@ class _Pool:
         return pair
 
 
-def _fold(terms: dict, g: int, width: int, zero: int, pool: _Pool, stay: dict, move: dict) -> None:
-    """Right-multiply an int-keyed {window: id} mapping by T_g, adding into
-    ``stay`` the terms left at w and into ``move`` those at wg.
-
-    Length-increasing terms move with their id; the rest split by the
-    quadratic relation T_w T_g = param*T_{wg} + (1-param)*T_w with param p
-    (g = 0) or q.  An ordinary fold passes one dict as both.  A field holds
-    its value plus ``zero``.  Coefficient arithmetic is a memo lookup in ``pool``.
-    """
-    mask = (1 << width) - 1
-    if g == 0:
-        low, step = 0, 0
-        splits = pool.split_p
-    else:
-        low = (g - 1) * width
-        step = (1 << (low + width)) - (1 << low)
-        splits = pool.split_q
-    high = low + width
-    sums = pool.sums
-    p = g == 0
-    stay_get, move_get = stay.get, move.get
-    for w, c in terms.items():
-        if p:
-            a = w & mask
-            ws = w + 2 * (zero - a)  # w(1) -> -w(1)
-            descent = a < zero
-        else:
-            a = w >> low & mask
-            b = w >> high & mask
-            ws = w + (a - b) * step  # swap w(g) and w(g+1)
-            descent = a > b
-        if descent:
-            pair = splits.get(c)
-            if pair is None:
-                pair = pool.split(c, p)
-            rest, c = pair  # (1 - param) * c stays at w, param * c moves to ws
-            t = stay_get(w)
-            if t is None:
-                stay[w] = rest
-            else:
-                s = sums.get((t, rest))
-                if s is None:
-                    s = pool.add(t, rest)
-                if s:
-                    stay[w] = s
-                else:
-                    del stay[w]
-        t = move_get(ws)
-        if t is None:
-            move[ws] = c
-        else:
-            s = sums.get((t, c))
-            if s is None:
-                s = pool.add(t, c)
-            if s:
-                move[ws] = s
-            else:
-                del move[ws]
-
-
-# struct codes of the signed whole-byte field widths a window may use
-_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# memoryview codes of the unsigned whole-byte field widths a window may use
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @lru_cache(maxsize=64)
 def _window_codec(rank: int, size: int) -> tuple:
     """The window codec of a rank with fields of ``size`` bytes, built once
     per (rank, size) and cached, as every part is immutable or never
-    changed.  Returns (width, zero, flip, layout, code, canonical):
+    changed.  Returns (width, fields, code, canonical, negated):
 
-    - a field of ``width`` bits holds w(i) + ``zero``; the signed struct
-      ``layout`` packs a window as w(i) in two's complement, and XOR with
-      ``flip`` turns that into w(i) + zero;
+    - a field of ``width`` bits holds v - 1 + 2^(width-1) for a value v > 0
+      and v + 2^(width-1) for v < 0, so field order is value order and the
+      complement of a field's bits holds -v; ``fields`` maps each value
+      -rank..rank but 0 to the little-endian bytes of its field;
     - ``memoryview.cast(code)`` reads the fields of little-endian window
-      bytes as unsigned ints, and ``canonical`` maps each such field to its
-      value w(i): one int object per value -rank..rank, shared by every
-      decoded window.  (The keys are the fields as a native memoryview reads
-      them, so the table is right on either byte order.)
+      bytes as unsigned ints, ``canonical`` maps each such field to its
+      value and ``negated`` to minus its value: the same one int object per
+      value, shared by every decoded window.  (The keys are the fields as a
+      native memoryview reads them, so the tables are right on either byte
+      order.)
     """
     width = 8 * size
-    zero = 1 << (width - 1)
-    flip = sum(zero << (i * width) for i in range(rank))
-    code = _FIELD_CODES[size]
-    canonical = {
-        int.from_bytes((v + zero).to_bytes(size, "little"), sys.byteorder): v
-        for v in range(-rank, rank + 1)
-    }
-    return width, zero, flip, struct.Struct(f"<{rank}{code}"), code.upper(), canonical
+    zero, mask = 1 << (width - 1), (1 << width) - 1
+    fields = {v: (v + zero - (v > 0)).to_bytes(size, "little") for v in range(-rank, rank + 1) if v}
+    canonical = {int.from_bytes(f, sys.byteorder): v for v, f in fields.items()}
+    negated = {f: canonical[f ^ mask] for f in canonical}
+    return width, fields, _FIELD_CODES[size], canonical, negated
 
 
 def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     """h * T_{g_1} * ... * T_{g_L} in one pool, for generator letters g_i
     (0 is t, i >= 1 is s_i), reduced or not: h is encoded once, folded
-    along the letters and decoded once.
+    along the letters through the signed position frame of the module
+    docstring, and decoded once.  h is not changed.
 
-    After each letter the pool is compacted to the ids the running product
-    holds (``_Pool.keep``) whenever it has grown past twice its size after
-    the last compaction, so the pool stays within about twice its live set
-    at an amortised O(1) cost per pooled dict.  The fold runs on int windows
-    and pooled coefficient ids, as described in the module docstring; h is
-    not changed.
+    At letter g, s_g compares window positions g and g + 1, and t compares
+    position 1 with its own negation.  A descent's partner key, where
+    (1-param)*c goes, has the two fields swapped, and complemented when
+    their signs in the frame differ (for t, field pos[0] complemented).
+    Before the frame moves it stands for wg, an ascent, so no key is split
+    twice in one letter.
+
+    The pool is compacted (``_Pool.keep``) after any letter that leaves it
+    past twice its size after the last compaction, at an amortised O(1)
+    cost per pooled dict.
 
     ``cosets=(n, k, patterns)`` keeps only the terms whose coset pattern is
-    one of ``patterns``: the running product is bucketed {pattern: {window:
-    id}}, and after letter j (counted from 0) every bucket whose pattern
-    the last-live index (``_last_live``) does not map above j is dropped
-    whole; a term of h whose pattern the index lacks is never encoded.  The
-    default is the trivial split B_rank x S_0, whose one pattern is all
-    zeros and is fixed by every letter: its index has that one entry, and
-    its one bucket is the whole product, folded as both stay and move.
+    one of ``patterns``, bucketed {pattern: {key: id}} as the module
+    docstring describes.  A side whose pattern the last-live index
+    (``_last_live``) does not map above the letter's index j (counted from
+    0) is never written, and a term of h whose pattern the index lacks is
+    never encoded.  The default is the trivial split B_rank x S_0, whose one
+    pattern is all zeros and is fixed by every letter: its one bucket is the
+    whole product, updated in place.
     """
     rank = h.rank
     size = next((n for n in _FIELD_CODES if rank < 1 << (8 * n - 1)), None)
     if size is None:
         raise ValueError(f"rank {rank} does not fit in a window field")
-    width, zero, flip, layout, code, canonical = _window_codec(rank, size)
+    width, fields, code, canonical, negated = _window_codec(rank, size)
+    mask = (1 << width) - 1
     n, k, patterns = cosets if cosets is not None else (rank, 0, {(0,) * rank})
     classify = _pattern_classes(n, k).__getitem__
     live = _last_live(patterns, letters)
     pool = _Pool()
     encoded: dict = {}  # id(BivarPoly) -> pool id; h keeps the objects alive
-    buckets: dict = {}  # pattern -> {window: id}
+    buckets: dict = {}  # pattern -> {key: id}
+    field = fields.__getitem__
     for w, c in h._terms.items():
         pattern = tuple(map(classify, w))
         if pattern not in live:
@@ -544,42 +502,90 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
         i = encoded.get(id(c))
         if i is None:
             i = encoded[id(c)] = pool.encode(c._terms)
-        buckets.setdefault(pattern, {})[int.from_bytes(layout.pack(*w), "little") ^ flip] = i
+        buckets.setdefault(pattern, {})[int.from_bytes(b"".join(map(field, w)), "little")] = i
+    pos, neg = list(range(rank)), [0] * rank  # the frame
     limit = 2 * len(pool.dicts)
     live_get = live.get
     for j, g in enumerate(letters):
+        # s_g compares (and at a descent swaps) window positions a = g - 1
+        # and b = g; t compares position 1 with its own negation, read as
+        # the same field complemented
+        if g:
+            a, b, splits = g - 1, g, pool.split_q
+            na, nb = neg[a], neg[b]
+        else:
+            a = b = 0
+            splits = pool.split_p
+            nb = neg[0]
+            na = nb ^ mask
+        lx, ly = pos[a] * width, pos[b] * width
+        nab, both = na ^ nb, (1 << lx) | (1 << ly)
+        sums = pool.sums
         out: dict = {}
-        for pattern in buckets:
-            # a side that cannot reach a kept coset is folded into a dict
-            # dropped at once; as live[pattern] >= j, one side is kept
+        for pattern, terms in buckets.items():
             moved = _pattern_times(pattern, g)
-            stay = out.setdefault(pattern, {}) if live_get(pattern, -1) > j else {}
-            move = out.setdefault(moved, {}) if live_get(moved, -1) > j else {}
-            _fold(buckets[pattern], g, width, zero, pool, stay, move)
+            descents = [u for u in terms if (u >> lx & mask ^ na) > (u >> ly & mask ^ nb)]
+            keep_move = live_get(moved, -1) > j
+            if keep_move:
+                out[moved] = terms
+            stay = None
+            if live_get(pattern, -1) > j:
+                # the rests go to the bucket that the letter relabels P
+                stay = buckets.get(moved)
+                if stay is None:
+                    stay = out[pattern] = {}
+            for u in descents:
+                c = terms[u]
+                # (1 - param) * c stays at w, param * c moves to wg
+                rest, c = splits.get(c) or pool.split(c, not g)
+                if keep_move:
+                    terms[u] = c
+                if stay is None:
+                    continue
+                u ^= ((u >> lx ^ u >> ly ^ nab) & mask) * both  # the key of w once the frame moves
+                t = stay.get(u)
+                if t is None:
+                    stay[u] = rest
+                    continue
+                s = sums.get((t, rest))
+                if s is None:
+                    s = pool.add(t, rest)
+                if s:
+                    stay[u] = s
+                else:
+                    del stay[u]
         buckets = out
+        # for t (a = b = 0) the second assignment wins: neg[0] becomes na
+        pos[a], pos[b], neg[a], neg[b] = pos[b], pos[a], nb, na
         if len(pool.dicts) > limit:
             pool.keep(chain.from_iterable(map(dict.values, buckets.values())))
             limit = 2 * len(pool.dicts)
     cur = buckets.popitem()[1] if buckets else {}
     for pattern in buckets:
         cur.update(buckets[pattern])
-    buckets = out = stay = move = None  # cur alone holds the product, for the decode to free
+    # cur alone holds the product, for the decode to free
+    buckets = out = terms = stay = descents = sums = splits = None
 
     # Keep only the live dicts, one BivarPoly per id shared by every term
-    # that carries it.  Then trade the {window: id} table for a coefficient
-    # list and one buffer of every window's field bytes, freeing the window
-    # ints before any tuple is built, and decode the fields in C-level passes
-    # to the canonical int objects, rank fields to a window.
+    # that carries it.  Then trade the {key: id} table for a coefficient
+    # list and a buffer of every key's field bytes, joined 4096 keys at a
+    # time, freeing the key ints before any tuple is built.  Position i is
+    # field column pos[i] of the buffer, read through ``negated`` where the
+    # frame complements it.
     dicts = pool.dicts
     polys = {c: BivarPoly._raw(dicts[c]) for c in set(cur.values())}
     del pool, dicts
     coefficients = list(map(polys.__getitem__, cur.values()))
-    fields = b"".join(map(int.to_bytes, cur, repeat(layout.size), repeat("little")))
-    del cur, polys
-    values = map(canonical.__getitem__, memoryview(fields).cast(code))
-    windows = map(
-        tuple.__new__, repeat(SignedPermutation), zip(*[values] * rank) if rank else repeat(())
-    )
+    chunks = map(int.to_bytes, cur, repeat(rank * size), repeat("little"))
+    buffer = bytearray()
+    while chunk := b"".join(islice(chunks, 4096)):
+        buffer += chunk
+    del cur, polys, chunks
+    view = memoryview(buffer).cast(code)
+    columns = [
+        map((negated if flip else canonical).__getitem__, view[x::rank]) for x, flip in zip(pos, neg)
+    ]
+    windows = map(tuple.__new__, repeat(SignedPermutation), zip(*columns) if rank else repeat(()))
     return HeckeElement._raw(rank, dict(zip(windows, coefficients)))
 
 

@@ -278,6 +278,8 @@ def f_k_direct(k: int) -> BivarPoly:
 def f_k_recurrence(k: int) -> BivarPoly:
     """f_k from f_1 = 1-p, f_2 = 1-(1+q)p+p^2 and
     f_k = p(1-q^(k-1)) f_(k-2) + (1-p) f_(k-1)."""
+    if type(k) is not int:  # a bool or a float is refused, not iterated
+        raise ValueError(f"k {k!r} is not an int")
     if k < 1:
         raise ValueError("k must be >= 1")
     f1 = ONE - P
@@ -296,6 +298,8 @@ def f_k_separated(k: int) -> BivarPoly:
     Sets containing 0 contribute the factor 1 - q^0 = 0 and are skipped;
     for the remaining sets |S| <= k/2, so the (1-p) exponent is nonnegative.
     """
+    if type(k) is not int:  # a bool or a float is refused, not enumerated
+        raise ValueError(f"k {k!r} is not an int")
     if k < 1:
         raise ValueError("k must be >= 1")
     one_minus_p = ONE - P

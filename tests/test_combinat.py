@@ -404,6 +404,12 @@ class TestSeparated:
     def test_k2(self):
         assert enumerate_separated(2) == [(), (0,), (1,)]
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_non_int_k_rejected(self, k):
+        # True passed k >= 1 and gave the separated 1-sets
+        with pytest.raises(ValueError, match="not an int"):
+            enumerate_separated(k)
+
     def test_count_6_2(self):
         sets = [s for s in enumerate_separated(6) if len(s) == 2]
         assert len(sets) == 9 == count_separated(6, 2)

@@ -1156,27 +1156,131 @@ class TestPooledFold:
         limits = [4] + [2 * after for _, after in sizes[:-1]]
         assert all(before > limit for (before, _), limit in zip(sizes, limits))
 
+    def test_memo_misses_stay_within_their_recorded_counts(self, monkeypatch):
+        # _Pool.add and _Pool.split run only on a memo miss; a memo the fold
+        # reads after keep has replaced it misses more, with every product
+        # still exact.  The bounds are the counts the kernel had before the
+        # fold read its keys through a frame.
+        calls = {"add": 0, "split": 0}
+        add, split = hecke._Pool.add, hecke._Pool.split
+
+        def counting_add(pool, a, b):
+            calls["add"] += 1
+            return add(pool, a, b)
+
+        def counting_split(pool, c, p):
+            calls["split"] += 1
+            return split(pool, c, p)
+
+        monkeypatch.setattr(hecke._Pool, "add", counting_add)
+        monkeypatch.setattr(hecke._Pool, "split", counting_split)
+        for rank in range(2, 8):
+            for k in range(2, rank + 1):
+                z_coefficient(rank - k, k)
+        assert calls["add"] <= 9107 and calls["split"] <= 11481, calls
+        calls.update(add=0, split=0)
+        for k in range(1, 9):
+            w = make_w_nk(0, k)
+            mult(t_of(w), t_of(w))
+        assert calls["add"] == 0 and calls["split"] <= 1898, calls
+
     def test_long_run_pool_stays_within_twice_its_compacted_size(self, monkeypatch):
         # ( t s1 s2 s3 )^32 at rank 4 is one fold along 128 letters; before
         # each letter the pool holds at most twice what the last compaction
-        # left (so at most that plus one letter's dicts at any time)
-        fold, keep = hecke._fold, hecke._Pool.keep
-        base = {}
+        # left (so at most that plus one letter's dicts at any time).  The
+        # fold has the one bucket of the trivial split, so once the pool is
+        # made (after the last-live index, which also calls _pattern_times)
+        # _pattern_times runs once at the start of each letter.
+        init, pattern_times, keep = hecke._Pool.__init__, hecke._pattern_times, hecke._Pool.keep
+        pools, base = [], {}
         entries = []  # (pool size, size after the last compaction) per letter
 
-        def watching_fold(terms, g, width, zero, pool, stay, move):
-            entries.append((len(pool.dicts), base.setdefault(pool, len(pool.dicts))))
-            return fold(terms, g, width, zero, pool, stay, move)
+        def recording_init(pool):
+            init(pool)
+            pools.append(pool)
+
+        def watching_pattern_times(pattern, g):
+            if pools:
+                pool = pools[-1]
+                entries.append((len(pool.dicts), base.setdefault(pool, len(pool.dicts))))
+            return pattern_times(pattern, g)
 
         def watching_keep(pool, ids):
             keep(pool, ids)
             base[pool] = len(pool.dicts)
 
-        monkeypatch.setattr(hecke, "_fold", watching_fold)
+        monkeypatch.setattr(hecke._Pool, "__init__", recording_init)
+        monkeypatch.setattr(hecke, "_pattern_times", watching_pattern_times)
         monkeypatch.setattr(hecke._Pool, "keep", watching_keep)
         evaluate_word(parse_word("( t s1 s2 s3 )^32"), 4)
+        assert len(pools) == 1
         assert len(entries) == 128
         assert all(size <= 2 * last for size, last in entries)
+
+
+def oracle_times_ts(h, letters):
+    """h * T_{g_1} * ... * T_{g_L}, one oracle fold per letter."""
+    cur = {w: c._terms for w, c in h._terms.items()}
+    for g in letters:
+        cur = _oracle_fold_right(cur, g)
+    return HeckeElement(h.rank, {w: BivarPoly(c) for w, c in cur.items()})
+
+
+def signed_windows(rank):
+    return st.tuples(
+        st.permutations(range(1, rank + 1)),
+        st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank),
+    ).map(lambda ps: SignedPermutation([s * v for v, s in zip(*ps)]))
+
+
+@st.composite
+def frame_folds(draw):
+    """(h, letters): an element of rank 1-6 with one to four terms on signed
+    windows and coefficients of both signs, and a word of runs of swaps with
+    t before each run, so the frame's signs differ between the positions a
+    swap compares."""
+    rank = draw(st.integers(1, 6))
+    coeff = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=3
+    ).filter(any)
+    terms = draw(st.dictionaries(signed_windows(rank), coeff, min_size=1, max_size=4))
+    run = st.lists(st.integers(1, rank - 1), max_size=3) if rank > 1 else st.just([])
+    runs = draw(st.lists(run, min_size=1, max_size=3))
+    letters = [g for run in runs for g in (0, *run)]
+    return HeckeElement(rank, {w: BivarPoly(c) for w, c in terms.items()}), letters
+
+
+class TestFrame:
+    """The fold reads its keys through a signed position frame; the product
+    is held to the oracle where the frame negates some positions and not
+    others."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame_folds(), st.data())
+    def test_matches_the_oracle(self, fold, data):
+        h, letters = fold
+        full = oracle_times_ts(h, letters)
+        assert hecke._times_ts(h, letters) == full
+        rank = h.rank
+        n = data.draw(st.integers(0, rank), label="n")
+        k = rank - n
+        targets = data.draw(st.lists(signed_windows(rank), min_size=1, max_size=3), label="targets")
+        reps = {distinguished_factor(x, n, k)[1] for x in targets}
+        patterns = {pattern_of(x, n, k) for x in targets}
+        assert hecke._times_ts(h, letters, (n, k, patterns)) == in_cosets(full, n, k, reps)
+
+    def test_two_byte_fields_decode_by_strided_columns(self):
+        # at rank 130 a field is two bytes; t s1 t s1 s2 leaves positions 1-3
+        # negated or not, each read as its own column of the field buffer
+        rank = 130
+        x = SignedPermutation([129, -130, -128] + list(range(1, 128)))
+        y = SignedPermutation([-1, 130, 2] + list(range(3, 128)) + [-129, 128])
+        h = HeckeElement(rank, {x: ONE + P, y: Q - 2 * P, identity(rank).negate(): ONE})
+        letters = [0, 1, 0, 1, 2]
+        product = hecke._times_ts(h, letters)
+        assert product == oracle_times_ts(h, letters)
+        assert len(product._terms) > len(h._terms)
+        assert len({id(v) for w in product.support() for v in w}) <= 2 * rank + 1
 
 
 def iota(h):

@@ -394,6 +394,17 @@ class TestFk:
         with pytest.raises(ValueError, match="not an int"):
             V.f_k_direct(True)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_recurrence_refuses_a_non_int_k(self, k):
+        # True passed k >= 1 and gave f_1; 2.5 failed in range with a TypeError
+        with pytest.raises(ValueError, match="not an int"):
+            V.f_k_recurrence(k)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_separated_refuses_a_non_int_k(self, k):
+        with pytest.raises(ValueError, match="not an int"):
+            V.f_k_separated(k)
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_triple_agreement(self, k):
         assert V.f_k_direct(k) == V.f_k_recurrence(k) == V.f_k_separated(k)
