@@ -563,7 +563,8 @@ def _times_ts(h: HeckeElement, letters, cosets=None) -> HeckeElement:
     cur = buckets.popitem()[1] if buckets else {}
     for pattern in buckets:
         cur.update(buckets[pattern])
-    # cur alone holds the product, for the decode to free
+    # cur alone holds the product, for the decode to free.  The memos go too:
+    # their ids sit among the freed keys and would pin memory from the tuples
     buckets = out = terms = stay = descents = sums = splits = None
 
     # Keep only the live dicts, one BivarPoly per id shared by every term
